@@ -18,12 +18,11 @@ from .embedding import (
     masked_input,
     save_embedding,
 )
-from .errors import MappingError, ProfileError, SearchSpaceError
+from .errors import DatasetError, MappingError, ProfileError, SearchSpaceError
 from .estimator import (
     EstimatorNet,
     TargetStats,
     load_weights,
-    predict_throughput,
     save_weights,
 )
 from .evaluators import EstimatorEvaluator, SimulatorEvaluator

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import baselines, mcts
-from .errors import MappingError, ProfileError, SearchSpaceError
+from .errors import DatasetError, MappingError, ProfileError, SearchSpaceError
 from .estimator import EstimatorNet, load_weights, save_weights
 from .evaluators import EstimatorEvaluator, SimulatorEvaluator
 from .simulator import (
@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProfileError, MappingError, SearchSpaceError, ValueError,
+    except (ProfileError, MappingError, DatasetError, SearchSpaceError, ValueError,
             FileNotFoundError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

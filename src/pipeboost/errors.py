@@ -9,5 +9,9 @@ class MappingError(ValueError):
     """A mapping does not fit its workload or device profile."""
 
 
+class DatasetError(ValueError):
+    """A dataset file does not have the layout `save_dataset` writes."""
+
+
 class SearchSpaceError(RuntimeError):
     """An exhaustive enumeration would exceed the configured cap."""

@@ -7,6 +7,11 @@ activation. Pools are skipped when a spatial dim is < 2 so tiny test
 tensors survive the stack. Everything runs in float64 with hand-written
 backward passes; there is no autodiff here.
 
+There are two forward paths. `EstimatorNet.forward` is the inference path
+the search calls once per mapping: it keeps no caches. `forward_with_cache`
+and `backward` are the training path. The two paths must give bit-identical
+outputs, so a net scores a mapping the same way in search as in training.
+
 Total trainable parameters: 224 + 1,168 + 4,640 + 3,480 + 10,416 + 75
 = 20,003, asserted at construction.
 """
@@ -20,25 +25,26 @@ from typing import ClassVar
 
 import numpy as np
 
-from .embedding import EmbeddingTensor, build_embedding, build_mask, masked_input
-from .simulator import Mapping
-from .workload import DeviceProfile, Workload
-
 PARAM_COUNT = 20_003
 _MAGIC = b"EST1"
 _VERSION = 1
 _GELU_K = 0.7978845608028654  # sqrt(2/pi)
 
 
+# Cubes are written as x2 * x: numpy has no fast path for `x**3`, which goes
+# through the general `pow` and is far slower than two multiplies.
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_K * (x + 0.044715 * x**3)))
+    x2 = x * x
+    return 0.5 * x * (1.0 + np.tanh(_GELU_K * (x + 0.044715 * (x2 * x))))
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
     # d/dx [0.5 x (1 + tanh(u))], u = k (x + 0.044715 x^3)
-    u = _GELU_K * (x + 0.044715 * x**3)
+    x2 = x * x
+    u = _GELU_K * (x + 0.044715 * (x2 * x))
     t = np.tanh(u)
-    du = _GELU_K * (1.0 + 3 * 0.044715 * x**2)
+    du = _GELU_K * (1.0 + 3 * 0.044715 * x2)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
 
@@ -48,7 +54,8 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 def _im2col(x: np.ndarray) -> np.ndarray:
     b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1 : h + 1, 1 : w + 1] = x
     cols = np.empty((b, c, 9, h, w), dtype=x.dtype)
     k = 0
     for di in range(3):
@@ -65,6 +72,11 @@ def _conv_forward(x, w, b):
     out = np.matmul(w.reshape(o, c * 9), cols).reshape(bs, o, h, wd)
     out += b[None, :, None, None]
     return out, (x.shape, cols, w)
+
+
+def _conv(x, w, b):
+    """Inference conv: `_conv_forward`'s output, with no cache kept."""
+    return _conv_forward(x, w, b)[0]
 
 
 def _conv_backward(dout, cache):
@@ -97,6 +109,17 @@ def _pool_forward(x):
     idx = xr.argmax(axis=-1)
     out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
     return out, (x.shape, idx)
+
+
+def _pool(x):
+    """Inference pool: `_pool_forward`'s output as the max of four strided views."""
+    h, w = x.shape[2:]
+    if h < 2 or w < 2:
+        return x
+    h2, w2 = h // 2 * 2, w // 2 * 2
+    top = np.maximum(x[:, :, 0:h2:2, 0:w2:2], x[:, :, 0:h2:2, 1:w2:2])
+    bottom = np.maximum(x[:, :, 1:h2:2, 0:w2:2], x[:, :, 1:h2:2, 1:w2:2])
+    return np.maximum(top, bottom)
 
 
 def _pool_backward(dout, cache):
@@ -262,8 +285,26 @@ class EstimatorNet:
         return out, c
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Inference: `forward_with_cache(x)[0]`, bit for bit, with no caches.
+
+        A single (C, H, W) input gives a (3,) output; a batch gives (B, 3).
+        """
+        p = self.params
         single = np.asarray(x).ndim == 3
-        out, _ = self.forward_with_cache(x)
+        x = self._check(x)
+
+        a = gelu(_conv(x, p["convA.w"], p["convA.b"]))
+        b_out = _pool(gelu(_conv(a, p["convB.w"], p["convB.b"])))
+
+        r1a = gelu(_conv(b_out, p["r1c1.w"], p["r1c1.b"]))
+        r1_out = gelu(b_out + _conv(r1a, p["r1c2.w"], p["r1c2.b"]))
+
+        c_out = _pool(gelu(_conv(r1_out, p["convC.w"], p["convC.b"])))
+
+        r2a = gelu(_conv(c_out, p["r2c1.w"], p["r2c1.b"]))
+        r2_out = gelu(c_out + _conv(r2a, p["r2c2.w"], p["r2c2.b"]))
+
+        out = r2_out.mean(axis=(2, 3)) @ p["fc.w"].T + p["fc.b"]
         return out[0] if single else out
 
     def backward(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
@@ -298,21 +339,6 @@ class EstimatorNet:
         da = da * gelu_grad(a_pre)
         _, grads["convA.w"], grads["convA.b"] = _conv_backward(da, cache["convA"])
         return grads
-
-
-def predict_throughput(
-    net: EstimatorNet,
-    stats: TargetStats | None,
-    workload: Workload,
-    mapping: Mapping,
-    embedding: EmbeddingTensor,
-    profile: DeviceProfile,
-) -> np.ndarray:
-    """Masked forward pass, clamped to [0,1] per component."""
-    if stats is None:
-        raise ValueError("estimator has no fitted target statistics (untrained)")
-    x = masked_input(embedding, build_mask(workload, mapping, profile))
-    return np.clip(net.forward(x.data), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -151,21 +151,51 @@ def apply(state: SearchState, action: int) -> SearchState:
 def rollout(
     state: SearchState, rng: random.Random, config: MctsConfig
 ) -> tuple[SearchState, list[int]]:
-    """Random legal moves to a terminal; greedy same-unit fill past max_depth."""
-    taken = []
-    s = state
-    while s.status is Status.IN_PROGRESS and len(taken) < config.max_depth:
-        legal = actions(s)
-        # A saturated per-mix limit can leave no safe action; force the issue.
-        a = rng.choice(legal) if legal else 0
-        s = apply(s, a)
+    """Random legal moves to a terminal; greedy same-unit fill past max_depth.
+
+    Works on mutable lists and builds one `SearchState` at the end, but must
+    behave exactly like stepping `actions` and `apply` move by move: the same
+    `rng.choice` on the same legal lists, so that it draws the same random
+    sequence. Seeded searches return the same mapping only while that holds.
+    """
+    taken: list[int] = []
+    if state.status is not Status.IN_PROGRESS:
+        return state, taken
+    counts = state.layer_counts
+    limit = state.stage_limit
+    per_mix = state.per_mix_limit
+    units = range(state.num_units)
+    assignments = [list(a) for a in state.assignments]
+    stage_counts = list(state.stage_counts)
+    m, l = state.cursor
+    while True:
+        row = assignments[m]
+        prev = row[-1] if l > 0 else None
+        if len(taken) < config.max_depth:
+            used = sum(stage_counts) if per_mix else stage_counts[m]
+            legal = [u for u in units if used + (u != prev) <= limit]
+            # A saturated per-mix limit can leave no safe action; force the issue.
+            a = rng.choice(legal) if legal else 0
+        else:
+            a = 0 if prev is None else prev
+        stage_counts[m] += a != prev
+        row.append(a)
         taken.append(a)
-    while s.status is Status.IN_PROGRESS:
-        m, l = s.cursor
-        a = s.assignments[m][l - 1] if l > 0 else 0
-        s = apply(s, a)
-        taken.append(a)
-    return s, taken
+        over = (sum(stage_counts) if per_mix else stage_counts[m]) > limit
+        l += 1
+        if l >= counts[m]:
+            m, l = m + 1, 0
+        done = m == len(counts)
+        if over or done:
+            break
+    terminal = replace(
+        state,
+        assignments=tuple(tuple(a) for a in assignments),
+        stage_counts=tuple(stage_counts),
+        cursor=None if done else (m, l),
+        status=Status.LOSE if over else Status.WIN,
+    )
+    return terminal, taken
 
 
 def evaluate_terminal(state: SearchState, evaluator, config: MctsConfig) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MappingError, SearchSpaceError
-from .workload import DeviceProfile, Workload, layer_cost
+from .workload import DeviceProfile, Workload, _check_keys, layer_cost
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -295,9 +295,7 @@ def load_mapping(path: str | Path, profile: DeviceProfile) -> tuple[Workload, Ma
     if not p.exists():
         raise FileNotFoundError(f"mapping file not found: {p}")
     data = json.loads(p.read_text())
-    extra = set(data) - {"workload", "assignments"}
-    if extra:
-        raise MappingError(f"{p}: unknown keys {sorted(extra)}")
+    _check_keys(data, ("workload", "assignments"), str(p), MappingError)
     workload = Workload(tuple(profile.model_index(n) for n in data["workload"]))
     mapping = Mapping(tuple(tuple(int(u) for u in a) for a in data["assignments"]))
     validate_mapping(mapping, profile, workload)

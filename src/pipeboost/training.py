@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import build_embedding, build_mask, masked_input
+from .errors import DatasetError
 from .estimator import EstimatorNet, TargetStats
 from .simulator import Mapping, random_mapping_rng, simulate
-from .workload import DeviceProfile, Workload
+from .workload import DeviceProfile, Workload, _check_keys
 
 
 @dataclass
@@ -230,9 +231,14 @@ def load_dataset(path: str | Path, profile: DeviceProfile) -> list[Sample]:
     if not p.exists():
         raise FileNotFoundError(f"dataset file not found: {p}")
     data = json.loads(p.read_text())
+    _check_keys(data, ("samples",), str(p), DatasetError)
+    if not isinstance(data["samples"], list):
+        raise DatasetError(f"{p}: samples must be a list")
     embedding = build_embedding(profile)
     samples = []
-    for row in data["samples"]:
+    for i, row in enumerate(data["samples"]):
+        _check_keys(row, ("workload", "assignments", "target_raw"), f"{p}: samples[{i}]",
+                    DatasetError)
         workload = Workload(tuple(profile.model_index(n) for n in row["workload"]))
         mapping = Mapping(tuple(tuple(int(u) for u in a) for a in row["assignments"]))
         x = masked_input(embedding, build_mask(workload, mapping, profile))

@@ -270,15 +270,21 @@ def generate_profile(
 # JSON serialization (strict schema, unknown keys rejected)
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, allowed: tuple[str, ...], ctx: str) -> None:
+def _check_keys(
+    obj: dict, allowed: tuple[str, ...], ctx: str, error: type[ValueError] = ProfileError
+) -> None:
+    """Require `obj` to be a JSON object with exactly the keys `allowed`.
+
+    Shared by every JSON loader; each raises its own typed `error`.
+    """
     if not isinstance(obj, dict):
-        raise ProfileError(f"{ctx}: expected an object, got {type(obj).__name__}")
+        raise error(f"{ctx}: expected an object, got {type(obj).__name__}")
     extra = set(obj) - set(allowed)
     if extra:
-        raise ProfileError(f"{ctx}: unknown keys {sorted(extra)}")
+        raise error(f"{ctx}: unknown keys {sorted(extra)}")
     missing = set(allowed) - set(obj)
     if missing:
-        raise ProfileError(f"{ctx}: missing keys {sorted(missing)}")
+        raise error(f"{ctx}: missing keys {sorted(missing)}")
 
 
 def profile_to_dict(profile: DeviceProfile) -> dict:

@@ -182,6 +182,31 @@ def test_compare_json_and_jobs_agree(cli_workspace, capsys):
         assert a["avg_throughput"] == pytest.approx(b["avg_throughput"], rel=1e-12)
 
 
+@pytest.mark.parametrize("missing", ["assignments", "workload"])
+def test_mapping_with_missing_key_is_a_clean_error(cli_workspace, capsys, tmp_path, missing):
+    mapping = {"workload": ["net00"], "assignments": [[0, 0, 0, 0]]}
+    del mapping[missing]
+    bad = tmp_path / "mapping.json"
+    bad.write_text(json.dumps(mapping))
+    code, _, err = run(
+        capsys, "simulate", "--profile", str(cli_workspace / "profile.json"),
+        "--mapping", str(bad),
+    )
+    assert code == 1
+    assert err.startswith("error:") and missing in err
+
+
+def test_dataset_without_samples_is_a_clean_error(cli_workspace, capsys, tmp_path):
+    bad = tmp_path / "dataset.json"
+    bad.write_text(json.dumps({"rows": []}))
+    code, _, err = run(
+        capsys, "train", "--profile", str(cli_workspace / "profile.json"),
+        "--dataset", str(bad), "--epochs", "1", "--out", str(tmp_path / "w.bin"),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "samples" in err
+
+
 def test_console_script_entrypoint():
     # the installed entry point must answer the counting question too
     proc = subprocess.run(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from pipeboost.embedding import build_embedding
 from pipeboost.estimator import (
     PARAM_COUNT,
     EstimatorNet,
@@ -11,12 +10,9 @@ from pipeboost.estimator import (
     gelu,
     gelu_grad,
     load_weights,
-    predict_throughput,
     save_weights,
 )
-from pipeboost.simulator import Mapping, random_mapping
 from pipeboost.training import gradient_check
-from pipeboost.workload import Workload
 
 
 SHAPE = (3, 4, 8)  # any (units, models, layers) works; the net pools to 1x1
@@ -67,6 +63,24 @@ def test_forward_shapes_and_batching():
     np.testing.assert_allclose(
         out5, np.stack([net.forward(batch[i]) for i in range(5)]), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 2, 3), (3, 5, 7), (3, 11, 28)],  # pools skipped, odd dims truncated, bench size
+)
+def test_inference_forward_equals_training_forward(shape, batch):
+    net = EstimatorNet.new(shape, seed=4)
+    rng = np.random.default_rng(batch)
+    for name in EstimatorNet.PARAM_ORDER:
+        if name.endswith(".b"):  # exercise the bias adds too
+            net.params[name] = rng.normal(0.0, 0.1, net.params[name].shape)
+    x = rng.random((batch,) + shape)
+    want, _ = net.forward_with_cache(x)
+    assert np.array_equal(net.forward(x), want)
+    if batch == 1:
+        assert np.array_equal(net.forward(x[0]), want[0])
 
 
 def test_forward_rejects_wrong_shape():
@@ -178,23 +192,3 @@ def test_load_weights_rejects_corruption(tmp_path):
         load_weights(bad, SHAPE)
     with pytest.raises(FileNotFoundError):
         load_weights(tmp_path / "missing.bin", SHAPE)
-
-
-def test_predict_throughput_plumbing(gen_profile, quick_net):
-    emb = build_embedding(gen_profile)
-    wl = Workload((0, 2))
-    m = random_mapping(wl, gen_profile, max_stages=3, seed=1)
-    out = predict_throughput(
-        quick_net, quick_net.target_stats, wl, m, emb, gen_profile
-    )
-    assert out.shape == (3,)
-    assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-
-def test_predict_throughput_requires_stats(gen_profile):
-    emb = build_embedding(gen_profile)
-    net = EstimatorNet.new((3, 6, gen_profile.max_layers), seed=0)
-    wl = Workload((0,))
-    m = Mapping(((0,) * gen_profile.models[0].num_layers,))
-    with pytest.raises(ValueError):
-        predict_throughput(net, None, wl, m, emb, gen_profile)

@@ -129,6 +129,61 @@ def test_rollout_depth_cap_finishes_greedily(tiny_profile):
         assert stage_count(a) <= 2
 
 
+def rollout_by_steps(state, rng, config):
+    """The rollout as a loop of `actions` and `apply`: the reference for `rollout`."""
+    taken = []
+    s = state
+    while s.status is Status.IN_PROGRESS and len(taken) < config.max_depth:
+        legal = actions(s)
+        a = rng.choice(legal) if legal else 0
+        s = apply(s, a)
+        taken.append(a)
+    while s.status is Status.IN_PROGRESS:
+        m, l = s.cursor
+        a = s.assignments[m][l - 1] if l > 0 else 0
+        s = apply(s, a)
+        taken.append(a)
+    return s, taken
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        MctsConfig(seed=0),
+        MctsConfig(max_depth=3, seed=0),  # the greedy fill runs
+        MctsConfig(max_depth=1, stage_limit=1, seed=0),
+        MctsConfig(per_mix_limit=True, seed=0),  # rollouts can lose
+        MctsConfig(max_depth=4, stage_limit=5, per_mix_limit=True, seed=0),
+    ],
+)
+def test_rollout_equals_step_by_step_reference(gen_profile, cfg):
+    walker = random.Random(17)
+    statuses = set()
+    for trial in range(60):
+        size = walker.randint(1, 4)
+        wl = Workload(tuple(walker.sample(range(len(gen_profile.models)), size)))
+        s = initial_state(wl, gen_profile, cfg)
+        # start at the root, or part-way, often with the cursor inside a model
+        for _ in range(walker.choice([0, 1, 2, 5, 9, 14])):
+            legal = actions(s)
+            if not legal:
+                break
+            nxt = apply(s, walker.choice(legal))
+            if nxt.status is not Status.IN_PROGRESS:
+                break
+            s = nxt
+        rng_new, rng_ref = random.Random(trial), random.Random(trial)
+        got = rollout(s, rng_new, cfg)
+        want = rollout_by_steps(s, rng_ref, cfg)
+        assert got == want
+        assert rng_new.getstate() == rng_ref.getstate()  # same draws, same count
+        statuses.add(got[0].status)
+    if cfg.per_mix_limit:
+        assert statuses == {Status.WIN, Status.LOSE}
+    else:
+        assert statuses == {Status.WIN}
+
+
 def test_evaluate_terminal(tiny_profile):
     ev = SimulatorEvaluator(tiny_profile)
     cfg = MctsConfig(budget=1, seed=0, win_bonus=1.0, lose_reward=0.0)

@@ -1,10 +1,12 @@
 """Dataset generation, preprocessing, and the Adam/L1 training loop."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
+from pipeboost.errors import DatasetError
 from pipeboost.estimator import EstimatorNet
 from pipeboost.simulator import simulate
 from pipeboost.training import (
@@ -130,6 +132,23 @@ def test_dataset_json_roundtrip(gen_profile, tmp_path):
         np.testing.assert_allclose(a.target_raw, b.target_raw)
         np.testing.assert_array_equal(a.input, b.input)
         assert b.target is None
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        [],
+        {},
+        {"samples": 5},
+        {"samples": [{"workload": ["net00"], "assignments": [[0]]}]},
+        {"samples": [], "extra": 1},
+    ],
+)
+def test_load_dataset_rejects_bad_layout(gen_profile, tmp_path, layout):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(layout))
+    with pytest.raises(DatasetError):
+        load_dataset(path, gen_profile)
 
 
 def test_history_csv_format(tmp_path):
