@@ -9,15 +9,7 @@ from .baselines import (
     mosaic_schedule,
     random_best,
 )
-from .embedding import (
-    EmbeddingTensor,
-    MaskTensor,
-    build_embedding,
-    build_mask,
-    load_embedding,
-    masked_input,
-    save_embedding,
-)
+from .embedding import build_embedding, build_mask, masked_input
 from .errors import DatasetError, MappingError, ProfileError, SearchSpaceError
 from .estimator import (
     EstimatorNet,
@@ -32,7 +24,6 @@ from .simulator import (
     Mapping,
     Stage,
     ThroughputReport,
-    binomial,
     count_assignments,
     exhaustive_best,
     iter_assignments,
@@ -40,6 +31,7 @@ from .simulator import (
     random_mapping,
     save_mapping,
     simulate,
+    stage_bounds,
     stage_count,
     stages_of,
     validate_mapping,
@@ -68,7 +60,6 @@ from .workload import (
     generate_profile,
     layer_cost,
     load_profile,
-    model_cost,
     save_profile,
     workload_from_names,
 )

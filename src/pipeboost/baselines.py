@@ -22,9 +22,9 @@ from .simulator import (
     iter_assignments,
     random_mapping_rng,
     simulate,
-    stage_count,
+    stage_bounds,
 )
-from .workload import DeviceProfile, DnnModel, Workload, layer_cost
+from .workload import DeviceProfile, DnnModel, Workload
 
 
 def gpu_only(workload: Workload, profile: DeviceProfile) -> Mapping:
@@ -82,13 +82,7 @@ class LinRegModel:
 
 def fit_linreg(profile: DeviceProfile) -> LinRegModel:
     x = np.vstack([_features(m) for m in profile.models])
-    y = np.array(
-        [
-            [layer_cost(layer, u) for u in range(profile.num_units)]
-            for m in profile.models
-            for layer in m.layers
-        ]
-    )
+    y = np.vstack([np.array(rows).T for rows in profile.layer_costs])
     coef, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
     if not np.all(np.isfinite(coef)):
         raise ValueError("regression produced non-finite coefficients")
@@ -112,16 +106,9 @@ def mosaic_schedule(
         best, best_time = None, None
         for cand in iter_assignments(model.num_layers, profile.num_units, max_stages):
             bottleneck = 0.0
-            start = 0
-            first = True
-            for l in range(1, len(cand) + 1):
-                if l == len(cand) or cand[l] != cand[start]:
-                    t = pred[start:l, cand[start]].sum()
-                    if not first:
-                        t += profile.transfer_ms
-                    bottleneck = max(bottleneck, t)
-                    start = l
-                    first = False
+            for s, e, u in stage_bounds(cand):
+                t = pred[s:e, u].sum() + (profile.transfer_ms if s else 0.0)
+                bottleneck = max(bottleneck, t)
             if best_time is None or bottleneck < best_time:
                 best, best_time = cand, bottleneck
         assignments.append(best)
@@ -154,24 +141,19 @@ class GaConfig:
 
 
 def merge_to_limit(
-    assignment: list[int], model: DnnModel, limit: int
+    assignment: list[int], costs: tuple[tuple[float, ...], ...], limit: int
 ) -> list[int]:
     """Repair pass: merge the cheapest stage into its cheaper-cost adjacent
     neighbor (reassigning its layers to the neighbor's unit) until the
-    assignment has at most `limit` stages."""
+    assignment has at most `limit` stages. `costs[u][l]` is the model's
+    layer cost table, `profile.layer_costs[m]`."""
     out = list(assignment)
-    while stage_count(out) > limit:
-        stages = []  # (start, end_exclusive, unit, cost)
-        start = 0
-        for l in range(1, len(out) + 1):
-            if l == len(out) or out[l] != out[start]:
-                cost = sum(layer_cost(model.layers[j], out[start]) for j in range(start, l))
-                stages.append((start, l, out[start], cost))
-                start = l
-        victim = min(range(len(stages)), key=lambda i: stages[i][3])
+    while len(stages := stage_bounds(out)) > limit:
+        cost = [sum(costs[u][s:e]) for s, e, u in stages]
+        victim = min(range(len(stages)), key=cost.__getitem__)
         neighbors = [i for i in (victim - 1, victim + 1) if 0 <= i < len(stages)]
-        target = min(neighbors, key=lambda i: stages[i][3])
-        s, e, _, _ = stages[victim]
+        target = min(neighbors, key=cost.__getitem__)
+        s, e, _ = stages[victim]
         out[s:e] = [stages[target][2]] * (e - s)
     return out
 
@@ -187,6 +169,7 @@ def ga_schedule(
     if len(workload) == 0:
         raise ValueError("cannot schedule an empty workload")
     models = [profile.models[i] for i in workload.model_indices]
+    costs = [profile.layer_costs[i] for i in workload.model_indices]
     bounds = np.cumsum([0] + [m.num_layers for m in models])
     total = int(bounds[-1])
     rng = random.Random(config.seed)
@@ -199,8 +182,8 @@ def ga_schedule(
         )
 
     def repair(genes: list[int]) -> list[int]:
-        for i, model in enumerate(models):
-            seg = merge_to_limit(genes[bounds[i] : bounds[i + 1]], model, config.stage_limit)
+        for i, rows in enumerate(costs):
+            seg = merge_to_limit(genes[bounds[i] : bounds[i + 1]], rows, config.stage_limit)
             genes[bounds[i] : bounds[i + 1]] = seg
         return genes
 

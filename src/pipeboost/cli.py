@@ -6,11 +6,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import baselines, mcts
@@ -18,7 +18,6 @@ from .errors import DatasetError, MappingError, ProfileError, SearchSpaceError
 from .estimator import EstimatorNet, load_weights, save_weights
 from .evaluators import EstimatorEvaluator, SimulatorEvaluator
 from .simulator import (
-    binomial,
     count_assignments,
     load_mapping,
     save_mapping,
@@ -148,7 +147,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_count(args) -> int:
     if args.cuts is not None:
-        print(binomial(args.layers, args.cuts))
+        print(math.comb(args.layers, args.cuts))
     else:
         print(count_assignments(args.layers, args.units, args.max_stages))
     return 0
@@ -210,40 +209,24 @@ def cmd_compare(args, parser: argparse.ArgumentParser) -> int:
     evaluator = _make_evaluator(args, profile) if needs_estimator or args.evaluator == "simulator" else None
     linreg = baselines.fit_linreg(profile) if "mosaic" in methods else None
 
-    cells = [(i, m) for i in range(len(mixes)) for m in methods]
-
-    def run_cell(cell):
-        mix_id, method = cell
-        workload = mixes[mix_id]
-        seed = _derived_seed(base_seed, mix_id, method)
-        mapping, elapsed_ms = _run_method(
-            method, workload, profile, evaluator, linreg, args, seed
-        )
-        t = simulate(workload, mapping, profile).avg_throughput
-        return mix_id, method, t, elapsed_ms
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-
-    gpu_t = {
-        i: simulate(mix, baselines.gpu_only(mix, profile), profile).avg_throughput
-        for i, mix in enumerate(mixes)
-    }
-    order = {m: j for j, m in enumerate(methods)}
-    results.sort(key=lambda r: (r[0], order[r[1]]))
-    rows = [
-        {
-            "mix_id": mix_id,
-            "method": method,
-            "avg_throughput": t,
-            "normalized": t / gpu_t[mix_id],
-            "decision_ms": elapsed_ms,
-        }
-        for mix_id, method, t, elapsed_ms in results
-    ]
+    rows = []
+    for mix_id, workload in enumerate(mixes):
+        gpu_t = simulate(
+            workload, baselines.gpu_only(workload, profile), profile
+        ).avg_throughput
+        for method in methods:
+            seed = _derived_seed(base_seed, mix_id, method)
+            mapping, elapsed_ms = _run_method(
+                method, workload, profile, evaluator, linreg, args, seed
+            )
+            t = simulate(workload, mapping, profile).avg_throughput
+            rows.append({
+                "mix_id": mix_id,
+                "method": method,
+                "avg_throughput": t,
+                "normalized": t / gpu_t,
+                "decision_ms": elapsed_ms,
+            })
 
     if args.format == "json":
         text = json.dumps({"rows": rows}, indent=2)
@@ -345,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=500)
     p.add_argument("--depth", type=int, default=100)
     p.add_argument("--stage-limit", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     add_seed(p)

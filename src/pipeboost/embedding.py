@@ -10,17 +10,10 @@ that is one-hot over the unit axis for every (model-in-mix, layer) cell.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .simulator import Mapping, validate_mapping
-from .workload import DeviceProfile, Workload, layer_cost
-
-_MAGIC = b"EMB1"
+from .workload import DeviceProfile, Workload
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -28,42 +21,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class EmbeddingTensor:
-    """(units, models, max_layers) normalized execution times."""
-
-    data: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-
-@dataclass(frozen=True)
-class MaskTensor:
-    """Boolean tensor with the same dims as its embedding."""
-
-    data: np.ndarray
-
-
-def build_embedding(profile: DeviceProfile) -> EmbeddingTensor:
-    units = profile.num_units
-    n_models = len(profile.models)
-    l_max = profile.max_layers
-    data = np.zeros((units, n_models, l_max), dtype=np.float64)
-    for m, model in enumerate(profile.models):
-        for l, layer in enumerate(model.layers):
-            for u in range(units):
-                data[u, m, l] = layer_cost(layer, u)
+def build_embedding(profile: DeviceProfile) -> np.ndarray:
+    """Read-only (units, models, max_layers) normalized execution times:
+    `profile.layer_costs`, zero-padded and divided by its maximum."""
+    data = np.zeros(
+        (profile.num_units, len(profile.models), profile.max_layers), dtype=np.float64
+    )
+    for m, rows in enumerate(profile.layer_costs):
+        data[:, m, : len(rows[0])] = rows
     peak = data.max()
     if peak > 0:
         data /= peak
-    return EmbeddingTensor(data=_freeze(data))
+    return _freeze(data)
 
 
 def build_mask(
     workload: Workload, mapping: Mapping, profile: DeviceProfile
-) -> MaskTensor:
+) -> np.ndarray:
+    """Read-only boolean tensor with the same dims as the embedding."""
     validate_mapping(mapping, profile, workload)
     data = np.zeros(
         (profile.num_units, len(profile.models), profile.max_layers), dtype=bool
@@ -71,46 +46,12 @@ def build_mask(
     for pos, model_idx in enumerate(workload.model_indices):
         for l, unit in enumerate(mapping.assignments[pos]):
             data[unit, model_idx, l] = True
-    return MaskTensor(data=_freeze(data))
+    return _freeze(data)
 
 
-def masked_input(embedding: EmbeddingTensor, mask: MaskTensor) -> EmbeddingTensor:
-    if embedding.data.shape != mask.data.shape:
+def masked_input(embedding: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    if embedding.shape != mask.shape:
         raise ValueError(
-            f"shape mismatch: embedding {embedding.data.shape}, mask {mask.data.shape}"
+            f"shape mismatch: embedding {embedding.shape}, mask {mask.shape}"
         )
-    return EmbeddingTensor(data=_freeze(embedding.data * mask.data))
-
-
-# ---------------------------------------------------------------------------
-# Debug dump: 4-byte magic, three uint16 dims, float32 little-endian payload,
-# plus a JSON sidecar describing the axes.
-# ---------------------------------------------------------------------------
-
-def save_embedding(
-    tensor: EmbeddingTensor, path: str | Path, profile: DeviceProfile | None = None
-) -> None:
-    p = Path(path)
-    u, m, l = tensor.data.shape
-    header = _MAGIC + struct.pack("<HHH", u, m, l)
-    p.write_bytes(header + tensor.data.astype("<f4").tobytes(order="C"))
-    meta = {"dims": {"units": u, "models": m, "max_layers": l}, "dtype": "float32-le"}
-    if profile is not None:
-        meta["unit_names"] = [unit.name for unit in profile.units]
-        meta["model_names"] = [mod.name for mod in profile.models]
-    p.with_suffix(p.suffix + ".json").write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def load_embedding(path: str | Path) -> EmbeddingTensor:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"embedding file not found: {p}")
-    raw = p.read_bytes()
-    if len(raw) < 10 or raw[:4] != _MAGIC:
-        raise ValueError(f"{p}: not an embedding dump (bad magic)")
-    u, m, l = struct.unpack("<HHH", raw[4:10])
-    expected = 10 + u * m * l * 4
-    if len(raw) != expected:
-        raise ValueError(f"{p}: expected {expected} bytes, found {len(raw)}")
-    data = np.frombuffer(raw[10:], dtype="<f4").astype(np.float64).reshape(u, m, l)
-    return EmbeddingTensor(data=_freeze(data))
+    return _freeze(embedding * mask)

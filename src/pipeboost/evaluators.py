@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import gpu_only
-from .embedding import EmbeddingTensor, build_embedding, build_mask, masked_input
+from .embedding import build_embedding, build_mask, masked_input
 from .estimator import EstimatorNet
 from .simulator import Mapping, simulate
 from .workload import DeviceProfile, Workload
@@ -24,7 +24,7 @@ class EstimatorEvaluator:
         self,
         net: EstimatorNet,
         profile: DeviceProfile,
-        embedding: EmbeddingTensor | None = None,
+        embedding: np.ndarray | None = None,
     ):
         if net.target_stats is None:
             raise ValueError("estimator is untrained (no target statistics)")
@@ -34,15 +34,13 @@ class EstimatorEvaluator:
 
     def score(self, workload: Workload, mapping: Mapping) -> float:
         x = masked_input(self.embedding, build_mask(workload, mapping, self.profile))
-        pred = np.clip(self.net.forward(x.data), 0.0, 1.0)
+        pred = np.clip(self.net.forward(x), 0.0, 1.0)
         return float(pred.mean())
 
     def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
         xs = np.stack(
             [
-                masked_input(
-                    self.embedding, build_mask(workload, m, self.profile)
-                ).data
+                masked_input(self.embedding, build_mask(workload, m, self.profile))
                 for m in mappings
             ]
         )

@@ -15,6 +15,12 @@ The throughput model, with times in ms and rates in inferences/second:
   5. per-DNN rate          x_m = theta * r_m
   6. per-unit rate         y_u = sum of x_m over models with a stage on u
   7. average throughput    T = sum(x_m) / M
+
+A stage's cost(s) is the Python `sum` of its layers' entries in
+`profile.layer_costs`, taken in layer order. Prefix sums would make each
+stage two lookups, but `P[e] - P[s]` rounds differently from the sum, and
+the searches compare near-equal scores, so a last-digit change can change
+the mapping they pick.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MappingError, SearchSpaceError
-from .workload import DeviceProfile, Workload, _check_keys, layer_cost
+from .workload import DeviceProfile, Workload, _check_keys
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -94,11 +100,20 @@ def validate_mapping(
                 raise MappingError(f"unit id {unit} out of range")
 
 
+def stage_bounds(assignment: tuple[int, ...] | list[int]) -> list[tuple[int, int, int]]:
+    """Maximal runs of equal unit ids, as (start, end_exclusive, unit)."""
+    bounds = []
+    start = 0
+    for l in range(1, len(assignment) + 1):
+        if l == len(assignment) or assignment[l] != assignment[start]:
+            bounds.append((start, l, assignment[start]))
+            start = l
+    return bounds
+
+
 def stage_count(assignment: tuple[int, ...] | list[int]) -> int:
     """Number of maximal runs of equal unit ids."""
-    if not assignment:
-        return 0
-    return 1 + sum(1 for a, b in zip(assignment, assignment[1:]) if a != b)
+    return len(stage_bounds(assignment))
 
 
 def stages_of(
@@ -108,19 +123,13 @@ def stages_of(
     validate_mapping(mapping, profile, workload)
     per_model = []
     for pos, model_idx in enumerate(workload.model_indices):
-        model = profile.models[model_idx]
-        assignment = mapping.assignments[pos]
-        stages = []
-        start = 0
-        for l in range(1, len(assignment) + 1):
-            if l == len(assignment) or assignment[l] != assignment[start]:
-                unit = assignment[start]
-                cost = sum(layer_cost(model.layers[j], unit) for j in range(start, l))
-                stages.append(
-                    Stage(model_index=pos, unit=unit, layer_range=(start, l - 1), cost_ms=cost)
-                )
-                start = l
-        per_model.append(stages)
+        costs = profile.layer_costs[model_idx]
+        per_model.append([
+            Stage(
+                model_index=pos, unit=u, layer_range=(s, e - 1), cost_ms=sum(costs[u][s:e])
+            )
+            for s, e, u in stage_bounds(mapping.assignments[pos])
+        ])
     return per_model
 
 
@@ -168,10 +177,6 @@ def simulate(
 # ---------------------------------------------------------------------------
 # Combinatorics and enumeration
 # ---------------------------------------------------------------------------
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
-
 
 def count_assignments(n_layers: int, n_units: int, max_stages: int) -> int:
     """Exact number of per-layer unit assignments with at most max_stages stages.
@@ -290,14 +295,34 @@ def save_mapping(
     )
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _mapping_from_dict(
+    data: dict, profile: DeviceProfile, ctx: str, error: type[ValueError] = MappingError
+) -> tuple[Workload, Mapping]:
+    """Parse the `workload` (model names) and `assignments` (unit ids per
+    layer) of a mapping file or dataset row, raising `error` on a value of
+    the wrong type. Shape and range checks are `validate_mapping`'s."""
+    names, assignments = data["workload"], data["assignments"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise error(f"{ctx}: workload must be a list of model names")
+    if not isinstance(assignments, list) or not all(
+        isinstance(a, list) and all(_is_int(u) for u in a) for a in assignments
+    ):
+        raise error(f"{ctx}: assignments must be a list of lists of unit ids")
+    workload = Workload(tuple(profile.model_index(n) for n in names))
+    return workload, Mapping(tuple(tuple(a) for a in assignments))
+
+
 def load_mapping(path: str | Path, profile: DeviceProfile) -> tuple[Workload, Mapping]:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"mapping file not found: {p}")
     data = json.loads(p.read_text())
     _check_keys(data, ("workload", "assignments"), str(p), MappingError)
-    workload = Workload(tuple(profile.model_index(n) for n in data["workload"]))
-    mapping = Mapping(tuple(tuple(int(u) for u in a) for a in data["assignments"]))
+    workload, mapping = _mapping_from_dict(data, profile, str(p))
     validate_mapping(mapping, profile, workload)
     return workload, mapping
 

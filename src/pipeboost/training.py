@@ -19,7 +19,7 @@ import numpy as np
 from .embedding import build_embedding, build_mask, masked_input
 from .errors import DatasetError
 from .estimator import EstimatorNet, TargetStats
-from .simulator import Mapping, random_mapping_rng, simulate
+from .simulator import Mapping, _is_int, _mapping_from_dict, random_mapping_rng, simulate
 from .workload import DeviceProfile, Workload, _check_keys
 
 
@@ -80,7 +80,7 @@ def generate_dataset(
         x = masked_input(embedding, build_mask(workload, mapping, profile))
         samples.append(
             Sample(
-                input=x.data,
+                input=x,
                 target_raw=np.array(report.per_unit_inf_s, dtype=np.float64),
                 target=None,
                 workload=workload,
@@ -237,15 +237,23 @@ def load_dataset(path: str | Path, profile: DeviceProfile) -> list[Sample]:
     embedding = build_embedding(profile)
     samples = []
     for i, row in enumerate(data["samples"]):
-        _check_keys(row, ("workload", "assignments", "target_raw"), f"{p}: samples[{i}]",
-                    DatasetError)
-        workload = Workload(tuple(profile.model_index(n) for n in row["workload"]))
-        mapping = Mapping(tuple(tuple(int(u) for u in a) for a in row["assignments"]))
+        ctx = f"{p}: samples[{i}]"
+        _check_keys(row, ("workload", "assignments", "target_raw"), ctx, DatasetError)
+        workload, mapping = _mapping_from_dict(row, profile, ctx, DatasetError)
+        target = row["target_raw"]
+        if not (
+            isinstance(target, list)
+            and len(target) == profile.num_units
+            and all(_is_int(v) or isinstance(v, float) for v in target)
+        ):
+            raise DatasetError(
+                f"{ctx}: target_raw must be a list of {profile.num_units} numbers"
+            )
         x = masked_input(embedding, build_mask(workload, mapping, profile))
         samples.append(
             Sample(
-                input=x.data,
-                target_raw=np.array(row["target_raw"], dtype=np.float64),
+                input=x,
+                target_raw=np.array(target, dtype=np.float64),
                 target=None,
                 workload=workload,
                 mapping=mapping,

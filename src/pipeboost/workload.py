@@ -3,7 +3,8 @@
 Compute units, per-kernel benchmark times, DNN layer specs, device profiles,
 and workload mixes, plus a seeded synthetic profile generator that stands in
 for on-board benchmarking. Layer cost on a unit is the sum of its kernel
-times on that unit.
+times on that unit; `DeviceProfile.layer_costs` holds every layer cost of a
+profile, computed once.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ProfileError
@@ -103,6 +105,21 @@ class DeviceProfile:
         """Padding width: the largest layer count across models."""
         return max(m.num_layers for m in self.models)
 
+    @cached_property
+    def layer_costs(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """layer_costs[m][u][l]: `layer_cost` of model m's layer l on unit u.
+
+        Built on first use and kept; every stage cost, the regression targets
+        and the embedding read this table instead of the kernel dicts.
+        """
+        return tuple(
+            tuple(
+                tuple(layer_cost(layer, u) for layer in model.layers)
+                for u in range(self.num_units)
+            )
+            for model in self.models
+        )
+
     def gpu_unit(self) -> ComputeUnit:
         gpus = [u for u in self.units if u.kind is UnitKind.GPU]
         if not gpus:
@@ -175,10 +192,6 @@ def layer_cost(layer: LayerSpec, unit: int) -> float:
                 f"kernel {kernel.name!r} has no time for unit {unit}"
             ) from None
     return total
-
-
-def model_cost(model: DnnModel, unit: int) -> float:
-    return sum(layer_cost(layer, unit) for layer in model.layers)
 
 
 # ---------------------------------------------------------------------------

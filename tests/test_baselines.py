@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pipeboost as pb
 from pipeboost.baselines import (
@@ -124,19 +126,32 @@ def test_mosaic_prefers_fast_unit_when_obvious(tiny_profile):
 # ---------------------------------------------------------------------- ga
 
 def test_merge_to_limit_reduces_stage_count(tiny_profile):
-    model = tiny_profile.models[0]
-    out = merge_to_limit([0, 1, 2], model, 2)
+    costs = tiny_profile.layer_costs[0]
+    out = merge_to_limit([0, 1, 2], costs, 2)
     assert stage_count(out) <= 2
     assert len(out) == 3
     # already-legal assignments are untouched
-    assert merge_to_limit([1, 1, 1], model, 3) == [1, 1, 1]
+    assert merge_to_limit([1, 1, 1], costs, 3) == [1, 1, 1]
+
+
+@given(st.data())
+def test_merge_to_limit_keeps_length_and_meets_limit(gen_profile, data):
+    m = data.draw(st.integers(0, len(gen_profile.models) - 1))
+    n = gen_profile.models[m].num_layers
+    assignment = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    limit = data.draw(st.integers(1, 5))
+    out = merge_to_limit(assignment, gen_profile.layer_costs[m], limit)
+    assert len(out) == n
+    assert stage_count(out) <= limit
+    if stage_count(assignment) <= limit:
+        assert out == assignment
 
 
 def test_merge_to_limit_merges_cheapest_into_cheaper_neighbor(tiny_profile):
     # costs on units: a0=2/4/8, a1=3/6/12, a2=1/2/4
     # stages of [0,1,2]: (a0@0: 2), (a1@1: 6), (a2@2: 4) -> victim a0,
     # its only neighbor is a1@1 -> layers 0 joins unit 1
-    out = merge_to_limit([0, 1, 2], tiny_profile.models[0], 2)
+    out = merge_to_limit([0, 1, 2], tiny_profile.layer_costs[0], 2)
     assert out == [1, 1, 2]
 
 

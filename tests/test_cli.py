@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pipeboost
 from pipeboost.cli import main
 
 
@@ -164,28 +167,42 @@ def test_compare_csv_output(cli_workspace, capsys):
     assert all(float(r[3]) > 0 for r in rows[1:])
 
 
-def test_compare_json_and_jobs_agree(cli_workspace, capsys):
+def test_compare_json_output(cli_workspace, capsys):
     prof = cli_workspace / "profile.json"
-    argv = [
-        "compare", "--profile", str(prof), "--evaluator", "simulator",
+    code, out, _ = run(
+        capsys, "compare", "--profile", str(prof), "--evaluator", "simulator",
         "--methods", "gpu,mcts", "--random-mixes", "2", "--mix-size", "2",
         "--budget", "60", "--seed", "9", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["mix_id"], r["method"]) for r in rows] == [
+        (0, "gpu"), (0, "mcts"), (1, "gpu"), (1, "mcts"),
     ]
-    code, out1, _ = run(capsys, *argv)
-    assert code == 0
-    code, out2, _ = run(capsys, *argv, "--jobs", "3")
-    assert code == 0
-    r1 = json.loads(out1)["rows"]
-    r2 = json.loads(out2)["rows"]
-    for a, b in zip(r1, r2):
-        assert a["mix_id"] == b["mix_id"] and a["method"] == b["method"]
-        assert a["avg_throughput"] == pytest.approx(b["avg_throughput"], rel=1e-12)
+    for gpu, mcts in (rows[0:2], rows[2:4]):
+        assert gpu["normalized"] == 1.0
+        assert mcts["normalized"] == pytest.approx(
+            mcts["avg_throughput"] / gpu["avg_throughput"], rel=1e-12
+        )
 
 
-@pytest.mark.parametrize("missing", ["assignments", "workload"])
-def test_mapping_with_missing_key_is_a_clean_error(cli_workspace, capsys, tmp_path, missing):
-    mapping = {"workload": ["net00"], "assignments": [[0, 0, 0, 0]]}
-    del mapping[missing]
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        pytest.param("assignments", None, id="assignments"),  # None: key missing
+        pytest.param("workload", None, id="workload"),
+        pytest.param("assignments", 5, id="assignments-int"),
+        pytest.param("assignments", [5], id="assignments-flat"),
+        pytest.param("assignments", [[0, 0.5, 0, 0, 0, 0]], id="assignments-float"),
+        pytest.param("workload", "net00", id="workload-string"),
+    ],
+)
+def test_mapping_with_missing_key_is_a_clean_error(cli_workspace, capsys, tmp_path, key, value):
+    mapping = {"workload": ["net00"], "assignments": [[0, 0, 0, 0, 0, 0]]}  # valid
+    if value is None:
+        del mapping[key]
+    else:
+        mapping[key] = value
     bad = tmp_path / "mapping.json"
     bad.write_text(json.dumps(mapping))
     code, _, err = run(
@@ -193,7 +210,7 @@ def test_mapping_with_missing_key_is_a_clean_error(cli_workspace, capsys, tmp_pa
         "--mapping", str(bad),
     )
     assert code == 1
-    assert err.startswith("error:") and missing in err
+    assert err.startswith("error:") and key in err
 
 
 def test_dataset_without_samples_is_a_clean_error(cli_workspace, capsys, tmp_path):
@@ -208,10 +225,14 @@ def test_dataset_without_samples_is_a_clean_error(cli_workspace, capsys, tmp_pat
 
 
 def test_console_script_entrypoint():
-    # the installed entry point must answer the counting question too
+    # the installed entry point must answer the counting question too; the
+    # child imports pipeboost from where this process did (pytest's
+    # `pythonpath` setting does not reach subprocesses)
+    src = str(Path(pipeboost.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "pipeboost.cli", "count", "--layers", "84", "--cuts", "3"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "95284"

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from pipeboost.embedding import (
-    build_embedding,
-    build_mask,
-    load_embedding,
-    masked_input,
-    save_embedding,
-)
+from pipeboost.embedding import build_embedding, build_mask, masked_input
 from pipeboost.simulator import Mapping
 from pipeboost.workload import Workload, layer_cost
 
@@ -15,47 +9,49 @@ from pipeboost.workload import Workload, layer_cost
 def test_embedding_shape_and_normalization(tiny_profile):
     emb = build_embedding(tiny_profile)
     assert emb.shape == (3, 2, 3)
-    assert emb.data.max() == 1.0
-    assert emb.data.min() >= 0.0
+    assert emb.max() == 1.0
+    assert emb.min() >= 0.0
     # largest layer anywhere: mA layer a1 on little-cpu (12ms)... no,
     # mB layers are 5/10ms flat, mA a1 on unit 2 is 12ms -> the peak
-    assert emb.data[2, 0, 1] == 1.0
+    assert emb[2, 0, 1] == 1.0
     # exact ratio check for one cell
-    assert emb.data[0, 0, 0] == pytest.approx(2.0 / 12.0)
+    assert emb[0, 0, 0] == pytest.approx(2.0 / 12.0)
 
 
 def test_embedding_zero_padding(tiny_profile):
     emb = build_embedding(tiny_profile)
     # mB has 2 layers, padded to 3
-    assert np.all(emb.data[:, 1, 2] == 0.0)
+    assert np.all(emb[:, 1, 2] == 0.0)
 
 
 def test_embedding_is_readonly(tiny_profile):
     emb = build_embedding(tiny_profile)
-    with pytest.raises(ValueError):
-        emb.data[0, 0, 0] = 5.0
+    mask = build_mask(Workload((1,)), Mapping(((0, 0),)), tiny_profile)
+    for arr in (emb, mask, masked_input(emb, mask)):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1
 
 
 def test_mask_one_hot_over_units(tiny_profile):
     wl = Workload((0, 1))
     m = Mapping(((0, 1, 2), (2, 0)))
     mask = build_mask(wl, m, tiny_profile)
-    assert mask.data.dtype == bool
-    assert mask.data.shape == (3, 2, 3)
+    assert mask.dtype == bool
+    assert mask.shape == (3, 2, 3)
     # every (model-in-mix, real layer) column has exactly one unit set
-    assert mask.data[:, 0, :].sum() == 3
-    assert mask.data[:, 1, :2].sum() == 2
-    sums = mask.data.sum(axis=0)
+    assert mask[:, 0, :].sum() == 3
+    assert mask[:, 1, :2].sum() == 2
+    sums = mask.sum(axis=0)
     assert sums[0].tolist() == [1, 1, 1]
     assert sums[1].tolist() == [1, 1, 0]
-    assert mask.data[0, 0, 0] and mask.data[1, 0, 1] and mask.data[2, 0, 2]
-    assert mask.data[2, 1, 0] and mask.data[0, 1, 1]
+    assert mask[0, 0, 0] and mask[1, 0, 1] and mask[2, 0, 2]
+    assert mask[2, 1, 0] and mask[0, 1, 1]
 
 
 def test_mask_absent_model_rows_are_empty(tiny_profile):
     wl = Workload((1,))
     mask = build_mask(wl, Mapping(((0, 0),)), tiny_profile)
-    assert mask.data[:, 0, :].sum() == 0  # mA not in the mix
+    assert mask[:, 0, :].sum() == 0  # mA not in the mix
 
 
 def test_masked_input_values(tiny_profile):
@@ -65,8 +61,8 @@ def test_masked_input_values(tiny_profile):
     x = masked_input(emb, mask)
     # only mA's row on unit 1 survives
     expected = np.array([layer_cost(l, 1) for l in tiny_profile.models[0].layers])
-    np.testing.assert_allclose(x.data[1, 0, :], expected / 12.0)
-    assert x.data.sum() == pytest.approx((expected / 12.0).sum())
+    np.testing.assert_allclose(x[1, 0, :], expected / 12.0)
+    assert x.sum() == pytest.approx((expected / 12.0).sum())
 
 
 def test_masked_input_shape_mismatch(tiny_profile, gen_profile):
@@ -78,27 +74,3 @@ def test_masked_input_shape_mismatch(tiny_profile, gen_profile):
     )
     with pytest.raises(ValueError):
         masked_input(emb, other)
-
-
-def test_embedding_dump_roundtrip(tiny_profile, tmp_path):
-    emb = build_embedding(tiny_profile)
-    path = tmp_path / "emb.bin"
-    save_embedding(emb, path, tiny_profile)
-    back = load_embedding(path)
-    assert back.shape == emb.shape
-    # float32 on disk
-    np.testing.assert_allclose(back.data, emb.data, atol=1e-7)
-    # sidecar exists and names the axes
-    sidecar = (tmp_path / "emb.bin.json").read_text()
-    assert "little-cpu" in sidecar and "mA" in sidecar
-
-
-def test_load_embedding_rejects_garbage(tmp_path):
-    bad = tmp_path / "x.bin"
-    bad.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_embedding(bad)
-    truncated = tmp_path / "y.bin"
-    truncated.write_bytes(b"EMB1" + bytes(6) + b"\x00" * 3)
-    with pytest.raises(ValueError):
-        load_embedding(truncated)

@@ -12,12 +12,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipeboost as pb
 from pipeboost.errors import MappingError, SearchSpaceError
 from pipeboost.simulator import (
     Mapping,
-    binomial,
     count_assignments,
     exhaustive_best,
     iter_assignments,
@@ -25,6 +26,7 @@ from pipeboost.simulator import (
     random_mapping_rng,
     save_mapping,
     simulate,
+    stage_bounds,
     stage_count,
     stages_of,
     validate_mapping,
@@ -119,6 +121,31 @@ def test_stage_helpers(tiny_profile):
     assert stages[1][0].cost_ms == 15.0
 
 
+@given(st.lists(st.integers(0, 3), max_size=40))
+def test_stage_bounds_are_the_maximal_runs(assignment):
+    bounds = stage_bounds(assignment)
+    assert [u for s, e, u in bounds for _ in range(s, e)] == assignment
+    assert [l for s, e, _ in bounds for l in range(s, e)] == list(range(len(assignment)))
+    assert all(a[2] != b[2] for a, b in zip(bounds, bounds[1:]))
+    assert len(bounds) == stage_count(assignment) == len(list(itertools.groupby(assignment)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_stage_cost_is_the_left_to_right_sum_of_layer_costs(seed, rng):
+    # exact equality: the searches compare near-equal scores, so a stage
+    # cost that rounds differently can change the mapping they pick
+    profile = pb.generate_profile(3, seed=seed)
+    wl = Workload((0, 1, 2))
+    mapping = random_mapping_rng(wl, profile, 30, rng)
+    for pos, stages in enumerate(stages_of(mapping, profile, wl)):
+        layers = profile.models[pos].layers
+        for stage in stages:
+            lo, hi = stage.layer_range
+            expected = sum(layer_cost(layers[l], stage.unit) for l in range(lo, hi + 1))
+            assert stage.cost_ms == expected
+
+
 def test_validate_mapping_errors(tiny_profile):
     wl = Workload((0, 1))
     with pytest.raises(MappingError):
@@ -205,11 +232,6 @@ def test_count_assignments_closed_form():
         math.comb(n - 1, s - 1) * u * (u - 1) ** (s - 1) for s in range(1, smax + 1)
     )
     assert count_assignments(n, u, smax) == expected
-
-
-def test_binomial_large_values():
-    assert binomial(84, 3) == 95284
-    assert binomial(10, 0) == 1
 
 
 def test_iter_assignments_exhaustive_and_sorted():

@@ -142,6 +142,12 @@ def test_dataset_json_roundtrip(gen_profile, tmp_path):
         {"samples": 5},
         {"samples": [{"workload": ["net00"], "assignments": [[0]]}]},
         {"samples": [], "extra": 1},
+        {"samples": [{"workload": "net00", "assignments": [[0]], "target_raw": [1, 1, 1]}]},
+        {"samples": [{"workload": ["net00"], "assignments": 5, "target_raw": [1, 1, 1]}]},
+        {"samples": [{"workload": ["net00"], "assignments": [5], "target_raw": [1, 1, 1]}]},
+        {"samples": [{"workload": ["net00"], "assignments": [[0]], "target_raw": 5}]},
+        {"samples": [{"workload": ["net00"], "assignments": [[0]], "target_raw": [1, 1]}]},
+        {"samples": [{"workload": ["net00"], "assignments": [[0]], "target_raw": [1, "x", 1]}]},
     ],
 )
 def test_load_dataset_rejects_bad_layout(gen_profile, tmp_path, layout):

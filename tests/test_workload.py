@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipeboost as pb
 from pipeboost.errors import ProfileError
@@ -9,7 +11,6 @@ from pipeboost.workload import (
     Workload,
     layer_cost,
     load_profile,
-    model_cost,
     profile_from_dict,
     profile_to_dict,
     save_profile,
@@ -21,8 +22,17 @@ def test_layer_and_model_cost(tiny_profile):
     m_a = tiny_profile.models[0]
     assert layer_cost(m_a.layers[0], 0) == 2.0
     assert layer_cost(m_a.layers[0], 2) == 8.0
-    assert model_cost(m_a, 0) == 6.0
-    assert model_cost(m_a, 1) == 12.0
+    assert [sum(row) for row in tiny_profile.layer_costs[0]] == [6.0, 12.0, 24.0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_layer_cost_table_equals_layer_cost(seed):
+    profile = pb.generate_profile(3, seed=seed)
+    for m, model in enumerate(profile.models):
+        assert len(profile.layer_costs[m]) == profile.num_units
+        for u in range(profile.num_units):
+            assert profile.layer_costs[m][u] == tuple(layer_cost(l, u) for l in model.layers)
 
 
 def test_profile_properties(tiny_profile):
@@ -70,8 +80,8 @@ def test_generated_unit_factor_ordering():
     # for the whole model almost by construction
     cfg = GeneratorConfig(unit_factors=(1.0, 5.0, 20.0))
     prof = pb.generate_profile(3, seed=2, config=cfg)
-    for m in prof.models:
-        assert model_cost(m, 0) < model_cost(m, 1) < model_cost(m, 2)
+    for rows in prof.layer_costs:
+        assert sum(rows[0]) < sum(rows[1]) < sum(rows[2])
 
 
 def test_profile_json_roundtrip(tiny_profile, tmp_path):
