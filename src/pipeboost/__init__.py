@@ -18,7 +18,7 @@ from .estimator import (
     save_weights,
 )
 from .evaluators import EstimatorEvaluator, SimulatorEvaluator
-from .mcts import MctsConfig, SearchState, Status
+from .mcts import MctsConfig, SearchState
 from .mcts import schedule as mcts_schedule
 from .simulator import (
     Mapping,

@@ -14,7 +14,6 @@ import time
 from pathlib import Path
 
 from . import baselines, mcts
-from .errors import DatasetError, MappingError, ProfileError, SearchSpaceError
 from .estimator import EstimatorNet, load_weights, save_weights
 from .evaluators import EstimatorEvaluator, SimulatorEvaluator
 from .simulator import (
@@ -348,8 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProfileError, MappingError, DatasetError, SearchSpaceError, ValueError,
-            FileNotFoundError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -370,6 +370,8 @@ def load_weights(path: str | Path, input_shape: tuple[int, int, int]) -> Estimat
     expected = 16 + (count + 12) * 8
     if count != PARAM_COUNT or len(raw) != expected:
         raise ValueError(f"{p}: malformed weights file ({count} params, {len(raw)} bytes)")
+    if not np.isfinite(np.frombuffer(raw[16:], dtype="<f8")).all():
+        raise ValueError(f"{p}: weights file holds non-finite values")
     flat = np.frombuffer(raw[16 : 16 + count * 8], dtype="<f8")
     params = {}
     pos = 0

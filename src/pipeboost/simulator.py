@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MappingError, SearchSpaceError
-from .workload import DeviceProfile, Workload, _check_keys
+from .workload import DeviceProfile, Workload, _check_keys, _is_int
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -295,10 +295,6 @@ def save_mapping(
     )
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _mapping_from_dict(
     data: dict, profile: DeviceProfile, ctx: str, error: type[ValueError] = MappingError
 ) -> tuple[Workload, Mapping]:
@@ -325,7 +321,3 @@ def load_mapping(path: str | Path, profile: DeviceProfile) -> tuple[Workload, Ma
     workload, mapping = _mapping_from_dict(data, profile, str(p))
     validate_mapping(mapping, profile, workload)
     return workload, mapping
-
-
-def save_report(report: ThroughputReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")

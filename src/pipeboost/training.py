@@ -19,8 +19,8 @@ import numpy as np
 from .embedding import build_embedding, build_mask, masked_input
 from .errors import DatasetError
 from .estimator import EstimatorNet, TargetStats
-from .simulator import Mapping, _is_int, _mapping_from_dict, random_mapping_rng, simulate
-from .workload import DeviceProfile, Workload, _check_keys
+from .simulator import Mapping, _mapping_from_dict, random_mapping_rng, simulate
+from .workload import DeviceProfile, Workload, _check_keys, _float, _typed
 
 
 @dataclass
@@ -232,23 +232,18 @@ def load_dataset(path: str | Path, profile: DeviceProfile) -> list[Sample]:
         raise FileNotFoundError(f"dataset file not found: {p}")
     data = json.loads(p.read_text())
     _check_keys(data, ("samples",), str(p), DatasetError)
-    if not isinstance(data["samples"], list):
-        raise DatasetError(f"{p}: samples must be a list")
     embedding = build_embedding(profile)
     samples = []
-    for i, row in enumerate(data["samples"]):
+    for i, row in enumerate(_typed(data["samples"], list, f"{p}: samples", DatasetError)):
         ctx = f"{p}: samples[{i}]"
         _check_keys(row, ("workload", "assignments", "target_raw"), ctx, DatasetError)
         workload, mapping = _mapping_from_dict(row, profile, ctx, DatasetError)
-        target = row["target_raw"]
-        if not (
-            isinstance(target, list)
-            and len(target) == profile.num_units
-            and all(_is_int(v) or isinstance(v, float) for v in target)
-        ):
+        target = _typed(row["target_raw"], list, f"{ctx}: target_raw", DatasetError)
+        if len(target) != profile.num_units:
             raise DatasetError(
                 f"{ctx}: target_raw must be a list of {profile.num_units} numbers"
             )
+        target = [_float(v, f"{ctx}: target_raw", DatasetError) for v in target]
         x = masked_input(embedding, build_mask(workload, mapping, profile))
         samples.append(
             Sample(

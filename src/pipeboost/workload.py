@@ -10,6 +10,7 @@ profile, computed once.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -283,6 +284,36 @@ def generate_profile(
 # JSON serialization (strict schema, unknown keys rejected)
 # ---------------------------------------------------------------------------
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_NUMBER = (int, float)
+_TYPE_NAMES = {
+    list: "a list", dict: "an object", str: "a string", int: "an integer", _NUMBER: "a number"
+}
+
+
+def _typed(value, kind, ctx: str, error: type[ValueError] = ProfileError):
+    """Return `value` if it is a JSON value of type `kind` (a bool is not a
+    number here), else raise `error`."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise error(f"{ctx}: expected {_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _float(value, ctx: str, error: type[ValueError] = ProfileError) -> float:
+    """A JSON number as a float, else raise `error`: NaN, infinities and ints
+    too large for a float are refused."""
+    try:
+        x = float(_typed(value, _NUMBER, ctx, error))
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise error(f"{ctx}: expected a finite number, got {value}")
+    return x
+
+
 def _check_keys(
     obj: dict, allowed: tuple[str, ...], ctx: str, error: type[ValueError] = ProfileError
 ) -> None:
@@ -339,53 +370,59 @@ def profile_to_dict(profile: DeviceProfile) -> dict:
 def profile_from_dict(data: dict) -> DeviceProfile:
     _check_keys(data, ("units", "transfer_ms", "models"), "profile")
     units = []
-    for i, ud in enumerate(data["units"]):
-        _check_keys(ud, ("id", "name", "kind"), f"units[{i}]")
+    for i, ud in enumerate(_typed(data["units"], list, "units")):
+        ctx = f"units[{i}]"
+        _check_keys(ud, ("id", "name", "kind"), ctx)
         try:
             kind = UnitKind(ud["kind"])
         except ValueError:
-            raise ProfileError(f"units[{i}]: unknown kind {ud['kind']!r}") from None
-        units.append(ComputeUnit(id=int(ud["id"]), name=str(ud["name"]), kind=kind))
+            raise ProfileError(f"{ctx}: unknown kind {ud['kind']!r}") from None
+        units.append(ComputeUnit(
+            id=_typed(ud["id"], int, f"{ctx}.id"),
+            name=_typed(ud["name"], str, f"{ctx}.name"),
+            kind=kind,
+        ))
+    unit_ids = {str(u.id): u.id for u in units}  # the keys save_profile writes
 
     models = []
-    for mi, md in enumerate(data["models"]):
+    for mi, md in enumerate(_typed(data["models"], list, "models")):
         _check_keys(md, ("name", "layers"), f"models[{mi}]")
         layers = []
-        for li, ld in enumerate(md["layers"]):
+        for li, ld in enumerate(_typed(md["layers"], list, f"models[{mi}].layers")):
             ctx = f"models[{mi}].layers[{li}]"
             _check_keys(ld, ("name", "kernels", "features"), ctx)
             kernels = []
-            for ki, kd in enumerate(ld["kernels"]):
-                _check_keys(kd, ("name", "time_ms"), f"{ctx}.kernels[{ki}]")
+            for ki, kd in enumerate(_typed(ld["kernels"], list, f"{ctx}.kernels")):
+                kctx = f"{ctx}.kernels[{ki}]"
+                _check_keys(kd, ("name", "time_ms"), kctx)
                 times = {}
-                for key, value in kd["time_ms"].items():
-                    try:
-                        uid = int(key)
-                    except ValueError:
-                        raise ProfileError(
-                            f"{ctx}.kernels[{ki}]: non-integer unit id {key!r}"
-                        ) from None
-                    times[uid] = float(value)
-                kernels.append(KernelProfile(name=str(kd["name"]), time_ms=times))
+                for key, value in _typed(kd["time_ms"], dict, f"{kctx}.time_ms").items():
+                    if key not in unit_ids:
+                        raise ProfileError(f"{kctx}: unknown unit id {key!r}")
+                    times[unit_ids[key]] = _float(value, f"{kctx}.time_ms[{key!r}]")
+                kernels.append(
+                    KernelProfile(name=_typed(kd["name"], str, f"{kctx}.name"), time_ms=times)
+                )
             fd = ld["features"]
-            _check_keys(
-                fd, ("op_kind", "in_elems", "out_elems", "macs"), f"{ctx}.features"
-            )
+            fctx = f"{ctx}.features"
+            _check_keys(fd, ("op_kind", "in_elems", "out_elems", "macs"), fctx)
             features = LayerFeatures(
-                op_kind=str(fd["op_kind"]),
-                in_elems=int(fd["in_elems"]),
-                out_elems=int(fd["out_elems"]),
-                macs=int(fd["macs"]),
+                _typed(fd["op_kind"], str, f"{fctx}.op_kind"),
+                *(_typed(fd[k], int, f"{fctx}.{k}") for k in ("in_elems", "out_elems", "macs")),
             )
-            layers.append(
-                LayerSpec(name=str(ld["name"]), kernels=tuple(kernels), features=features)
-            )
-        models.append(DnnModel(name=str(md["name"]), layers=tuple(layers)))
+            layers.append(LayerSpec(
+                name=_typed(ld["name"], str, f"{ctx}.name"),
+                kernels=tuple(kernels),
+                features=features,
+            ))
+        models.append(DnnModel(
+            name=_typed(md["name"], str, f"models[{mi}].name"), layers=tuple(layers)
+        ))
 
     profile = DeviceProfile(
         units=tuple(units),
         models=tuple(models),
-        transfer_ms=float(data["transfer_ms"]),
+        transfer_ms=_float(data["transfer_ms"], "transfer_ms"),
     )
     profile.validate()
     return profile

@@ -3,13 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipeboost as pb
 from pipeboost.evaluators import SimulatorEvaluator
 from pipeboost.mcts import (
     MctsConfig,
-    SearchState,
-    Status,
     actions,
     apply,
     evaluate_terminal,
@@ -18,7 +18,7 @@ from pipeboost.mcts import (
     schedule,
 )
 from pipeboost.simulator import exhaustive_best, simulate, stage_count, validate_mapping
-from pipeboost.workload import Workload
+from pipeboost.workload import Workload, generate_profile
 
 
 CFG = MctsConfig(budget=50, seed=0)
@@ -32,7 +32,6 @@ def walk(state, moves):
 
 def test_initial_state(tiny_profile):
     s = initial_state(Workload((0, 1)), tiny_profile, CFG)
-    assert s.status is Status.IN_PROGRESS
     assert s.cursor == (0, 0)
     assert s.stage_counts == (0, 0)
     assert s.assignments == ((), ())
@@ -40,7 +39,7 @@ def test_initial_state(tiny_profile):
 
 def test_win_path(tiny_profile):
     s = walk(initial_state(Workload((0, 1)), tiny_profile, CFG), [0, 0, 1, 2, 2])
-    assert s.status is Status.WIN
+    assert s.cursor is None
     assert s.mapping().assignments == ((0, 0, 1), (2, 2))
     assert s.stage_counts == (2, 1)
 
@@ -49,23 +48,10 @@ def test_cursor_advances_model_by_model(tiny_profile):
     s = initial_state(Workload((0, 1)), tiny_profile, CFG)
     s = walk(s, [1, 1, 1])  # all of mA
     assert s.cursor == (1, 0)
-    assert s.status is Status.IN_PROGRESS
+    with pytest.raises(ValueError):
+        s.mapping()
     s = walk(s, [0])
     assert s.cursor == (1, 1)
-
-
-def test_lose_on_stage_limit(tiny_profile):
-    cfg = MctsConfig(budget=1, stage_limit=2, seed=0)
-    s = initial_state(Workload((0,)), tiny_profile, cfg)
-    s = walk(s, [0, 1])  # two stages used
-    # third distinct unit would be stage 3 > 2: apply is lenient, state loses
-    s2 = apply(s, 2)
-    assert s2.status is Status.LOSE
-    with pytest.raises(ValueError):
-        s2.mapping()
-    # while continuing on the same unit stays alive
-    s3 = apply(s, 1)
-    assert s3.status is Status.WIN
 
 
 def test_actions_exclude_limit_breakers(tiny_profile):
@@ -76,26 +62,30 @@ def test_actions_exclude_limit_breakers(tiny_profile):
     assert actions(s_fresh) == [0, 1, 2]
 
 
-def test_actions_per_mix_budget(tiny_profile):
-    cfg = MctsConfig(budget=1, stage_limit=3, per_mix_limit=True, seed=0)
-    s = initial_state(Workload((0, 1)), tiny_profile, cfg)
-    s = walk(s, [0, 1, 2])  # mA uses all three stages of the shared budget
-    assert s.status is Status.IN_PROGRESS
-    assert s.cursor == (1, 0)
-    # mB's first layer necessarily opens a new stage -> no legal action
-    assert actions(s) == []
-
-
 def test_apply_rejects_terminal_and_bad_unit(tiny_profile):
     s = initial_state(Workload((0,)), tiny_profile, CFG)
     with pytest.raises(ValueError):
         apply(s, 3)
     done = walk(s, [0, 0, 0])
-    assert done.status is Status.WIN
+    assert done.cursor is None
     with pytest.raises(ValueError):
         apply(done, 0)
     with pytest.raises(ValueError):
         actions(done)
+
+
+def test_apply_rejects_units_outside_actions(tiny_profile):
+    cfg = MctsConfig(budget=1, stage_limit=2, seed=0)
+    s = walk(initial_state(Workload((0,)), tiny_profile, cfg), [0, 1])
+    with pytest.raises(ValueError, match="over the limit"):
+        apply(s, 2)  # a third stage on a 2-stage limit
+    for unit in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            apply(s, unit)
+    assert apply(s, 1).mapping().assignments == ((0, 1, 1),)
+    # a new model's first layer opens its own stage whatever the unit
+    fresh = walk(initial_state(Workload((0, 1)), tiny_profile, cfg), [0, 1, 1])
+    assert [apply(fresh, u).stage_counts for u in actions(fresh)] == [(2, 1)] * 3
 
 
 def test_rollout_reaches_terminal_and_is_seeded(tiny_profile):
@@ -103,19 +93,15 @@ def test_rollout_reaches_terminal_and_is_seeded(tiny_profile):
     t1, moves1 = rollout(s, random.Random(3), CFG)
     t2, moves2 = rollout(s, random.Random(3), CFG)
     assert moves1 == moves2
-    assert t1.status in (Status.WIN, Status.LOSE)
-    if t1.status is Status.WIN:
-        validate_mapping(t1.mapping(), tiny_profile, Workload((0, 1)))
+    validate_mapping(t1.mapping(), tiny_profile, Workload((0, 1)))
 
 
 def test_rollout_only_takes_legal_actions(tiny_profile):
-    # with the per-model limit, every rollout from the root stays legal,
-    # so terminals are always wins
     rng = random.Random(9)
     s = initial_state(Workload((0, 1)), tiny_profile, CFG)
     for _ in range(200):
         t, _ = rollout(s, rng, CFG)
-        assert t.status is Status.WIN
+        assert t.cursor is None
         assert all(c <= CFG.stage_limit for c in t.stage_counts)
 
 
@@ -123,7 +109,7 @@ def test_rollout_depth_cap_finishes_greedily(tiny_profile):
     cfg = MctsConfig(budget=1, max_depth=2, seed=0)
     s = initial_state(Workload((0, 1)), tiny_profile, cfg)
     t, moves = rollout(s, random.Random(0), cfg)
-    assert t.status is Status.WIN
+    assert t.cursor is None
     # past the cap each layer repeats the previous unit: no new stages
     for a in t.assignments:
         assert stage_count(a) <= 2
@@ -133,12 +119,11 @@ def rollout_by_steps(state, rng, config):
     """The rollout as a loop of `actions` and `apply`: the reference for `rollout`."""
     taken = []
     s = state
-    while s.status is Status.IN_PROGRESS and len(taken) < config.max_depth:
-        legal = actions(s)
-        a = rng.choice(legal) if legal else 0
+    while s.cursor is not None and len(taken) < config.max_depth:
+        a = rng.choice(actions(s))
         s = apply(s, a)
         taken.append(a)
-    while s.status is Status.IN_PROGRESS:
+    while s.cursor is not None:
         m, l = s.cursor
         a = s.assignments[m][l - 1] if l > 0 else 0
         s = apply(s, a)
@@ -152,24 +137,18 @@ def rollout_by_steps(state, rng, config):
         MctsConfig(seed=0),
         MctsConfig(max_depth=3, seed=0),  # the greedy fill runs
         MctsConfig(max_depth=1, stage_limit=1, seed=0),
-        MctsConfig(per_mix_limit=True, seed=0),  # rollouts can lose
-        MctsConfig(max_depth=4, stage_limit=5, per_mix_limit=True, seed=0),
     ],
 )
 def test_rollout_equals_step_by_step_reference(gen_profile, cfg):
     walker = random.Random(17)
-    statuses = set()
     for trial in range(60):
         size = walker.randint(1, 4)
         wl = Workload(tuple(walker.sample(range(len(gen_profile.models)), size)))
         s = initial_state(wl, gen_profile, cfg)
         # start at the root, or part-way, often with the cursor inside a model
         for _ in range(walker.choice([0, 1, 2, 5, 9, 14])):
-            legal = actions(s)
-            if not legal:
-                break
-            nxt = apply(s, walker.choice(legal))
-            if nxt.status is not Status.IN_PROGRESS:
+            nxt = apply(s, walker.choice(actions(s)))
+            if nxt.cursor is None:
                 break
             s = nxt
         rng_new, rng_ref = random.Random(trial), random.Random(trial)
@@ -177,25 +156,15 @@ def test_rollout_equals_step_by_step_reference(gen_profile, cfg):
         want = rollout_by_steps(s, rng_ref, cfg)
         assert got == want
         assert rng_new.getstate() == rng_ref.getstate()  # same draws, same count
-        statuses.add(got[0].status)
-    if cfg.per_mix_limit:
-        assert statuses == {Status.WIN, Status.LOSE}
-    else:
-        assert statuses == {Status.WIN}
 
 
 def test_evaluate_terminal(tiny_profile):
     ev = SimulatorEvaluator(tiny_profile)
-    cfg = MctsConfig(budget=1, seed=0, win_bonus=1.0, lose_reward=0.0)
-    win = walk(initial_state(Workload((0,)), tiny_profile, cfg), [0, 0, 0])
-    r = evaluate_terminal(win, ev, cfg)
-    assert 1.0 <= r <= 2.0  # bonus + score in [0,1]
-    lose_cfg = MctsConfig(budget=1, stage_limit=1, seed=0)
-    lose = walk(initial_state(Workload((0,)), tiny_profile, lose_cfg), [0, 1])
-    assert evaluate_terminal(lose, ev, lose_cfg) == 0.0
-    in_prog = initial_state(Workload((0,)), tiny_profile, cfg)
+    done = walk(initial_state(Workload((0,)), tiny_profile, CFG), [0, 0, 0])
+    assert evaluate_terminal(done, ev) == 1.0 + ev.score(done.workload, done.mapping())
+    in_prog = initial_state(Workload((0,)), tiny_profile, CFG)
     with pytest.raises(ValueError):
-        evaluate_terminal(in_prog, ev, cfg)
+        evaluate_terminal(in_prog, ev)
 
 
 # ------------------------------------------------------------- end to end
@@ -207,7 +176,7 @@ def test_schedule_returns_valid_mapping(gen_profile):
     validate_mapping(mapping, gen_profile, wl)
     for a in mapping.assignments:
         assert stage_count(a) <= 3
-    assert stats["wins"] + stats["losses"] == stats["iterations"] == 200
+    assert stats["iterations"] == 200
     assert stats["best_reward"] >= 1.0
     assert stats["elapsed_ms"] > 0
 
@@ -247,3 +216,24 @@ def test_schedule_beats_median_random(gen_profile):
         for i in range(51)
     )
     assert got > ts[25]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    st.integers(1, 4),
+    st.integers(1, 100),
+    st.integers(1, 30),
+)
+def test_schedule_returns_a_mapping_within_the_stage_limit(
+    seed, mix, stage_limit, max_depth, budget
+):
+    # every tree edge and rollout move is legal, so any budget finds a mapping
+    profile = generate_profile(4, seed=seed)
+    wl = Workload(tuple(mix))
+    cfg = MctsConfig(budget=budget, max_depth=max_depth, stage_limit=stage_limit, seed=seed)
+    mapping, stats = schedule(wl, profile, SimulatorEvaluator(profile), cfg)
+    validate_mapping(mapping, profile, wl)
+    assert all(stage_count(a) <= stage_limit for a in mapping.assignments)
+    assert stats["iterations"] == budget
