@@ -31,6 +31,7 @@ from .simulator import (
     random_mapping,
     save_mapping,
     simulate,
+    simulate_batch,
     stage_bounds,
     stage_count,
     stages_of,

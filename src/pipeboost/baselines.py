@@ -22,6 +22,7 @@ from .simulator import (
     iter_assignments,
     random_mapping_rng,
     simulate,
+    simulate_batch,
     stage_bounds,
 )
 from .workload import DeviceProfile, DnnModel, Workload
@@ -44,17 +45,15 @@ def random_best(
     max_stages: int = 3,
     seed: int = 0,
 ) -> tuple[Mapping, ThroughputReport]:
-    """Best of n uniformly random valid mappings, judged by simulated T."""
+    """Best of n uniformly random valid mappings, judged by simulated T;
+    the first drawn wins a tie."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
-    best = None
-    for _ in range(n):
-        mapping = random_mapping_rng(workload, profile, max_stages, rng)
-        report = simulate(workload, mapping, profile)
-        if best is None or report.avg_throughput > best[1].avg_throughput:
-            best = (mapping, report)
-    return best
+    mappings = [random_mapping_rng(workload, profile, max_stages, rng) for _ in range(n)]
+    rows = np.array([[u for a in m.assignments for u in a] for m in mappings])
+    best = mappings[int(np.argmax(simulate_batch(workload, rows, profile)))]
+    return best, simulate(workload, best, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +102,18 @@ def mosaic_schedule(
     for model_idx in workload.model_indices:
         model = profile.models[model_idx]
         pred = linreg.predict_model(model)
+        n = model.num_layers
+        stage_time = {
+            (s, e, u): pred[s:e, u].sum() + (profile.transfer_ms if s else 0.0)
+            for s in range(n)
+            for e in range(s + 1, n + 1)
+            for u in range(profile.num_units)
+        }
         best, best_time = None, None
-        for cand in iter_assignments(model.num_layers, profile.num_units, max_stages):
+        for cand in iter_assignments(n, profile.num_units, max_stages):
             bottleneck = 0.0
-            for s, e, u in stage_bounds(cand):
-                t = pred[s:e, u].sum() + (profile.transfer_ms if s else 0.0)
-                bottleneck = max(bottleneck, t)
+            for stage in stage_bounds(cand):
+                bottleneck = max(bottleneck, stage_time[stage])
             if best_time is None or bottleneck < best_time:
                 best, best_time = cand, bottleneck
         assignments.append(best)
@@ -146,15 +151,28 @@ def merge_to_limit(
     """Repair pass: merge the cheapest stage into its cheaper-cost adjacent
     neighbor (reassigning its layers to the neighbor's unit) until the
     assignment has at most `limit` stages. `costs[u][l]` is the model's
-    layer cost table, `profile.layer_costs[m]`."""
+    layer cost table, `profile.layer_costs[m]`.
+
+    `stages` and `cost` are kept equal to `stage_bounds(out)` and its stage
+    sums: a merge joins the victim, the target and, when it is on the
+    target's unit too, the victim's other neighbor into one run."""
     out = list(assignment)
-    while len(stages := stage_bounds(out)) > limit:
-        cost = [sum(costs[u][s:e]) for s, e, u in stages]
+    stages = stage_bounds(out)
+    cost = [sum(costs[u][s:e]) for s, e, u in stages]
+    while len(stages) > limit:
         victim = min(range(len(stages)), key=cost.__getitem__)
         neighbors = [i for i in (victim - 1, victim + 1) if 0 <= i < len(stages)]
         target = min(neighbors, key=cost.__getitem__)
+        unit = stages[target][2]
         s, e, _ = stages[victim]
-        out[s:e] = [stages[target][2]] * (e - s)
+        out[s:e] = [unit] * (e - s)
+        lo, hi = sorted((victim, target))
+        other = 2 * victim - target
+        if 0 <= other < len(stages) and stages[other][2] == unit:
+            lo, hi = min(lo, other), max(hi, other)
+        s, e = stages[lo][0], stages[hi][1]
+        stages[lo : hi + 1] = [(s, e, unit)]
+        cost[lo : hi + 1] = [sum(costs[unit][s:e])]
     return out
 
 

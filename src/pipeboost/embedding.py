@@ -23,12 +23,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def build_embedding(profile: DeviceProfile) -> np.ndarray:
     """Read-only (units, models, max_layers) normalized execution times:
-    `profile.layer_costs`, zero-padded and divided by its maximum."""
-    data = np.zeros(
-        (profile.num_units, len(profile.models), profile.max_layers), dtype=np.float64
-    )
-    for m, rows in enumerate(profile.layer_costs):
-        data[:, m, : len(rows[0])] = rows
+    `profile.cost_array` with its first two axes swapped, divided by its maximum."""
+    data = profile.cost_array.transpose(1, 0, 2).copy()
     peak = data.max()
     if peak > 0:
         data /= peak

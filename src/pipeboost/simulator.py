@@ -21,6 +21,14 @@ A stage's cost(s) is the Python `sum` of its layers' entries in
 stage two lookups, but `P[e] - P[s]` rounds differently from the sum, and
 the searches compare near-equal scores, so a last-digit change can change
 the mapping they pick.
+
+`simulate_batch` scores many mappings of one workload at once and returns
+the same `avg_throughput` floats bit for bit. It does every float operation
+of `simulate` in the same order, only across the batch at once: a stage
+cost is accumulated layer by layer from the first layer of its run (no
+prefix sums, no numpy `.sum()`, which sums pairwise), each unit's load
+gathers its stages in (model, stage) order, and T adds the models one by
+one. Padding adds `0.0`, which leaves a non-negative sum unchanged.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import MappingError, SearchSpaceError
 from .workload import DeviceProfile, Workload, _check_keys, _is_int
@@ -172,6 +182,74 @@ def simulate(
         unit_utilization=tuple(theta * l for l in raw_load),
         theta=theta,
     )
+
+
+def simulate_batch(
+    workload: Workload, assignments: np.ndarray, profile: DeviceProfile
+) -> np.ndarray:
+    """`simulate(...).avg_throughput` of every row of an (N, total_layers)
+    int array, each row one mapping with its models' assignments joined in
+    mix order. Bit-identical to `simulate`; see the module docstring."""
+    if len(workload) == 0:
+        raise ValueError("cannot simulate an empty workload")
+    workload.validate_for(profile)
+    lengths = np.array([profile.models[i].num_layers for i in workload.model_indices])
+    a = np.asarray(assignments)
+    if a.ndim != 2 or a.shape[1] != lengths.sum() or a.dtype.kind not in "iu":
+        raise MappingError(
+            f"assignments must be an (N, {lengths.sum()}) int array, "
+            f"got {a.dtype} of shape {a.shape}"
+        )
+    if a.size == 0:
+        return np.empty(0)
+    bad = a[(a < 0) | (a >= profile.num_units)]
+    if bad.size:
+        raise MappingError(f"unit id {bad[0]} out of range")
+    n, m, width = len(a), len(workload), int(lengths.max())
+
+    # (layer, mapping, model) arrays: units, costs, stage starts and ends
+    valid = np.arange(width) < lengths[:, None]
+    units = np.zeros((n, m, width), dtype=np.intp)
+    units[:, valid] = a
+    units = units.transpose(2, 0, 1)
+    table = profile.cost_array[list(workload.model_indices)]
+    costs = table[np.arange(m), units, np.arange(width)[:, None, None]]
+    start = np.ones((width, n, m), dtype=bool)
+    start[1:] = units[1:] != units[:-1]
+    end = np.zeros((width, n, m), dtype=bool)
+    end[:-1] = start[1:]
+    end[lengths - 1, :, np.arange(m)] = True
+    end &= valid.T[:, None, :]
+
+    # step 1: stage costs, each the left-to-right sum of its layers' costs
+    stage_cost = np.empty((width, n, m))
+    acc = stage_cost[0] = costs[0]
+    for l in range(1, width):
+        acc = stage_cost[l] = np.where(start[l], costs[l], acc + costs[l])
+    index = np.cumsum(start, axis=0) - 1
+    eff = stage_cost + np.where(index > 0, profile.transfer_ms, 0.0)
+
+    # (mapping, model, stage) arrays, padded with 0 ms stages on unit 0
+    ll, nn, mm = np.nonzero(end)
+    kk = index[ll, nn, mm]
+    stage_time = np.zeros((n, m, kk.max() + 1))
+    stage_time[nn, mm, kk] = eff[ll, nn, mm]
+    stage_unit = np.zeros((n, m, kk.max() + 1), dtype=np.intp)
+    stage_unit[nn, mm, kk] = units[ll, nn, mm]
+
+    # steps 2-4, 7
+    rate = 1000.0 / stage_time.max(axis=2)
+    raw_load = np.zeros((n, profile.num_units))
+    rows = np.arange(n)
+    for j in range(m):
+        for k in range(stage_time.shape[2]):
+            raw_load[rows, stage_unit[:, j, k]] += rate[:, j] * stage_time[:, j, k] / 1000.0
+    theta = np.minimum(1.0, 1.0 / raw_load.max(axis=1))
+    x = theta[:, None] * rate
+    total = x[:, 0]
+    for j in range(1, m):
+        total = total + x[:, j]
+    return total / m
 
 
 # ---------------------------------------------------------------------------

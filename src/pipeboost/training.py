@@ -17,9 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import build_embedding, build_mask, masked_input
-from .errors import DatasetError
+from .errors import DatasetError, MappingError
 from .estimator import EstimatorNet, TargetStats
-from .simulator import Mapping, _mapping_from_dict, random_mapping_rng, simulate
+from .simulator import (
+    Mapping,
+    _mapping_from_dict,
+    random_mapping_rng,
+    simulate,
+    validate_mapping,
+)
 from .workload import DeviceProfile, Workload, _check_keys, _float, _typed
 
 
@@ -244,6 +250,10 @@ def load_dataset(path: str | Path, profile: DeviceProfile) -> list[Sample]:
                 f"{ctx}: target_raw must be a list of {profile.num_units} numbers"
             )
         target = [_float(v, f"{ctx}: target_raw", DatasetError) for v in target]
+        try:
+            validate_mapping(mapping, profile, workload)
+        except MappingError as exc:
+            raise DatasetError(f"{ctx}: {exc}") from None
         x = masked_input(embedding, build_mask(workload, mapping, profile))
         samples.append(
             Sample(

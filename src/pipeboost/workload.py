@@ -4,7 +4,8 @@ Compute units, per-kernel benchmark times, DNN layer specs, device profiles,
 and workload mixes, plus a seeded synthetic profile generator that stands in
 for on-board benchmarking. Layer cost on a unit is the sum of its kernel
 times on that unit; `DeviceProfile.layer_costs` holds every layer cost of a
-profile, computed once.
+profile, computed once, and `DeviceProfile.cost_array` the same table as a
+zero-padded numpy array.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ProfileError
 
@@ -120,6 +123,16 @@ class DeviceProfile:
             )
             for model in self.models
         )
+
+    @cached_property
+    def cost_array(self) -> np.ndarray:
+        """`layer_costs` as a read-only (models, units, max_layers) float64
+        array, zero-padded on the right for models with fewer layers."""
+        data = np.zeros((len(self.models), self.num_units, self.max_layers))
+        for m, rows in enumerate(self.layer_costs):
+            data[m, :, : len(rows[0])] = rows
+        data.flags.writeable = False
+        return data
 
     def gpu_unit(self) -> ComputeUnit:
         gpus = [u for u in self.units if u.kind is UnitKind.GPU]

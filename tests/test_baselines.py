@@ -17,8 +17,62 @@ from pipeboost.baselines import (
     random_best,
 )
 from pipeboost.evaluators import SimulatorEvaluator
-from pipeboost.simulator import simulate, stage_count, validate_mapping
+from pipeboost.simulator import (
+    Mapping,
+    iter_assignments,
+    random_mapping_rng,
+    simulate,
+    stage_bounds,
+    stage_count,
+    validate_mapping,
+)
 from pipeboost.workload import Workload
+
+
+# -------------------------------------------------- the plain loops, as references
+
+def random_best_by_loop(workload, profile, n, max_stages, seed):
+    """Draw and simulate one mapping at a time: the reference for `random_best`."""
+    rng = random.Random(seed)
+    best = None
+    for _ in range(n):
+        mapping = random_mapping_rng(workload, profile, max_stages, rng)
+        report = simulate(workload, mapping, profile)
+        if best is None or report.avg_throughput > best[1].avg_throughput:
+            best = (mapping, report)
+    return best
+
+
+def mosaic_by_stage_sums(workload, profile, linreg, max_stages):
+    """Sum every candidate's stages afresh: the reference for `mosaic_schedule`."""
+    assignments = []
+    for model_idx in workload.model_indices:
+        model = profile.models[model_idx]
+        pred = linreg.predict_model(model)
+        best, best_time = None, None
+        for cand in iter_assignments(model.num_layers, profile.num_units, max_stages):
+            bottleneck = 0.0
+            for s, e, u in stage_bounds(cand):
+                t = pred[s:e, u].sum() + (profile.transfer_ms if s else 0.0)
+                bottleneck = max(bottleneck, t)
+            if best_time is None or bottleneck < best_time:
+                best, best_time = cand, bottleneck
+        assignments.append(best)
+    return Mapping(assignments=tuple(assignments))
+
+
+def merge_by_rescan(assignment, costs, limit):
+    """Split and cost every stage again after each merge: the reference for
+    `merge_to_limit`."""
+    out = list(assignment)
+    while len(stages := stage_bounds(out)) > limit:
+        cost = [sum(costs[u][s:e]) for s, e, u in stages]
+        victim = min(range(len(stages)), key=cost.__getitem__)
+        neighbors = [i for i in (victim - 1, victim + 1) if 0 <= i < len(stages)]
+        target = min(neighbors, key=cost.__getitem__)
+        s, e, _ = stages[victim]
+        out[s:e] = [stages[target][2]] * (e - s)
+    return out
 
 
 def test_gpu_only_everything_on_gpu(tiny_profile):
@@ -45,6 +99,27 @@ def test_random_best_seeded(gen_profile):
     m1, _ = random_best(wl, gen_profile, n=30, seed=7)
     m2, _ = random_best(wl, gen_profile, n=30, seed=7)
     assert m1 == m2
+
+
+@pytest.mark.parametrize("profile_seed", [11, 22, 33])
+def test_random_best_equals_loop_reference(profile_seed):
+    profile = pb.generate_profile(8, seed=profile_seed)
+    rng = random.Random(profile_seed)
+    for trial in range(8):
+        wl = Workload(tuple(rng.sample(range(8), rng.randint(1, 5))))
+        n, limit = rng.choice([1, 2, 50, 200]), rng.randint(1, 4)
+        assert random_best(wl, profile, n, limit, trial) == random_best_by_loop(
+            wl, profile, n, limit, trial
+        )
+
+
+def test_random_best_keeps_the_first_of_tied_draws(tiny_profile):
+    # one 2-layer model on one stage: many of 40 draws repeat a mapping
+    wl = Workload((1,))
+    for seed in range(5):
+        assert random_best(wl, tiny_profile, 40, 1, seed) == random_best_by_loop(
+            wl, tiny_profile, 40, 1, seed
+        )
 
 
 # ------------------------------------------------------------------ linreg
@@ -123,6 +198,17 @@ def test_mosaic_prefers_fast_unit_when_obvious(tiny_profile):
     assert m.assignments[0] == (0, 0)
 
 
+@pytest.mark.parametrize("profile_seed", [11, 22, 33])
+def test_mosaic_equals_stage_sum_reference(profile_seed):
+    profile = pb.generate_profile(8, seed=profile_seed)
+    lin = fit_linreg(profile)
+    everything = Workload(tuple(range(8)))
+    for limit in (1, 2, 3):
+        assert mosaic_schedule(everything, profile, lin, limit) == mosaic_by_stage_sums(
+            everything, profile, lin, limit
+        )
+
+
 # ---------------------------------------------------------------------- ga
 
 def test_merge_to_limit_reduces_stage_count(tiny_profile):
@@ -145,6 +231,21 @@ def test_merge_to_limit_keeps_length_and_meets_limit(gen_profile, data):
     assert stage_count(out) <= limit
     if stage_count(assignment) <= limit:
         assert out == assignment
+
+
+@pytest.mark.parametrize("profile_seed", [11, 22, 33])
+def test_merge_to_limit_equals_rescan_reference(profile_seed):
+    profile = pb.generate_profile(8, seed=profile_seed)
+    rng = random.Random(profile_seed)
+    for _ in range(1500):
+        m = rng.randrange(8)
+        costs = profile.layer_costs[m]
+        units = rng.randint(2, 3)  # two units make many equal-unit neighbors
+        assignment = [rng.randrange(units) for _ in range(len(costs[0]))]
+        limit = rng.randint(1, 6)
+        assert merge_to_limit(assignment, costs, limit) == merge_by_rescan(
+            assignment, costs, limit
+        )
 
 
 def test_merge_to_limit_merges_cheapest_into_cheaper_neighbor(tiny_profile):

@@ -278,6 +278,19 @@ def test_dataset_without_samples_is_a_clean_error(cli_workspace, capsys, tmp_pat
     assert err.startswith("error:") and "samples" in err
 
 
+def test_dataset_row_that_does_not_fit_its_model_names_the_row(cli_workspace, capsys, tmp_path):
+    # net00 has 6 layers; the error must say which file and which row
+    bad = tmp_path / "dataset.json"
+    row = {"workload": ["net00"], "assignments": [[0]], "target_raw": [1, 1, 1]}
+    bad.write_text(json.dumps({"samples": [row]}))
+    code, _, err = run(
+        capsys, "train", "--profile", str(cli_workspace / "profile.json"),
+        "--dataset", str(bad), "--epochs", "1", "--out", str(tmp_path / "w.bin"),
+    )
+    assert code == 1
+    assert err.startswith(f"error: {bad}: samples[0]: model 'net00': 1 assignments")
+
+
 def test_console_script_entrypoint():
     # the installed entry point must answer the counting question too; the
     # child imports pipeboost from where this process did (pytest's

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from pipeboost.baselines import gpu_only
+from pipeboost.errors import MappingError
 from pipeboost.estimator import EstimatorNet
 from pipeboost.evaluators import EstimatorEvaluator, SimulatorEvaluator
-from pipeboost.simulator import random_mapping, simulate
+from pipeboost.simulator import Mapping, random_mapping, simulate
 from pipeboost.workload import Workload
 
 
@@ -33,7 +34,18 @@ def test_simulator_evaluator_batch_matches_scalar(gen_profile):
     wl = Workload((3, 5))
     maps = [random_mapping(wl, gen_profile, max_stages=3, seed=i) for i in range(5)]
     batch = ev.score_batch(wl, maps)
-    np.testing.assert_allclose(batch, [ev.score(wl, m) for m in maps])
+    assert np.array_equal(batch, [ev.score(wl, m) for m in maps])
+    assert ev.score_batch(wl, []).shape == (0,)
+
+
+def test_simulator_evaluator_batch_checks_each_model_length(tiny_profile):
+    ev = SimulatorEvaluator(tiny_profile)
+    wl = Workload((0, 1))  # 3 + 2 layers
+    good = Mapping(((0, 1, 2), (1, 1)))
+    swapped = Mapping(((0, 1), (2, 1, 1)))  # the same 5 units when joined
+    for bad in (swapped, Mapping(((0, 1, 2, 1, 1),)), Mapping(((0, 1, 2), (1, 3)))):
+        with pytest.raises(MappingError):
+            ev.score_batch(wl, [good, bad])
 
 
 def test_estimator_evaluator_requires_training(gen_profile):

@@ -26,6 +26,7 @@ from pipeboost.simulator import (
     random_mapping_rng,
     save_mapping,
     simulate,
+    simulate_batch,
     stage_bounds,
     stage_count,
     stages_of,
@@ -154,6 +155,54 @@ def test_validate_mapping_errors(tiny_profile):
         validate_mapping(Mapping(((0, 0), (2, 2))), tiny_profile, wl)  # layer count
     with pytest.raises(MappingError):
         validate_mapping(Mapping(((0, 0, 3), (2, 2))), tiny_profile, wl)  # unit range
+
+
+# ------------------------------------------------------------ batch path
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(1, 40),
+    st.sampled_from([1, 2, 3, None]),
+    st.randoms(use_true_random=False),
+)
+def test_simulate_batch_equals_simulate(seed, size, n, limit, rng):
+    # exact equality: the GA and random-best rank mappings by these floats
+    profile = pb.generate_profile(5, seed=seed)
+    wl = Workload(tuple(rng.sample(range(5), size)))
+    if limit is None:  # unconstrained: an independent unit per layer
+        maps = [
+            Mapping(tuple(
+                tuple(rng.randrange(profile.num_units) for _ in range(profile.models[i].num_layers))
+                for i in wl.model_indices
+            ))
+            for _ in range(n)
+        ]
+    else:
+        maps = [random_mapping_rng(wl, profile, limit, rng) for _ in range(n)]
+    rows = np.array([[u for a in m.assignments for u in a] for m in maps])
+    expected = [simulate(wl, m, profile).avg_throughput for m in maps]
+    assert np.array_equal(simulate_batch(wl, rows, profile), expected)
+
+
+def test_simulate_batch_rejects_bad_arrays(tiny_profile):
+    wl = Workload((0, 1))  # 3 + 2 layers
+    good = np.array([[0, 1, 2, 1, 1]])
+    assert simulate_batch(wl, good, tiny_profile)[0] == simulate(
+        wl, Mapping(((0, 1, 2), (1, 1))), tiny_profile
+    ).avg_throughput
+    for bad in (
+        np.array([[0, 1, 2, 1]]),  # width
+        np.array([0, 1, 2, 1, 1]),  # not 2-d
+        np.array([[0.0, 1.0, 2.0, 1.0, 1.0]]),  # not ints
+        np.array([[0, 1, 3, 1, 1]]),  # unit range
+        np.array([[0, 1, 2, 1, -1]]),
+    ):
+        with pytest.raises(MappingError):
+            simulate_batch(wl, bad, tiny_profile)
+    with pytest.raises(ValueError):
+        simulate_batch(Workload(()), np.zeros((1, 0), dtype=int), tiny_profile)
 
 
 # ------------------------------------------------------------ fuzz oracle

@@ -151,6 +151,9 @@ def test_dataset_json_roundtrip(gen_profile, tmp_path):
         # net02 has 7 layers, so only target_raw is at fault in these two
         {"samples": [{"workload": ["net02"], "assignments": [[0] * 7], "target_raw": [1, float("nan"), 1]}]},
         {"samples": [{"workload": ["net02"], "assignments": [[0] * 7], "target_raw": [1, 10**400, 1]}]},
+        # only the assignments are at fault in these: a short model, a bad unit
+        {"samples": [{"workload": ["net02"], "assignments": [[0]], "target_raw": [1, 1, 1]}]},
+        {"samples": [{"workload": ["net02"], "assignments": [[0] * 6 + [3]], "target_raw": [1, 1, 1]}]},
     ],
 )
 def test_load_dataset_rejects_bad_layout(gen_profile, tmp_path, layout):
