@@ -28,7 +28,6 @@ from .simulator import (
     exhaustive_best,
     iter_assignments,
     load_mapping,
-    random_mapping,
     save_mapping,
     simulate,
     simulate_batch,

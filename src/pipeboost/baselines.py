@@ -11,6 +11,7 @@ cheapest stage into its cheaper neighbor until the stage limit holds.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -19,7 +20,6 @@ import numpy as np
 from .simulator import (
     Mapping,
     ThroughputReport,
-    iter_assignments,
     random_mapping_rng,
     simulate,
     simulate_batch,
@@ -96,27 +96,56 @@ def mosaic_schedule(
 ) -> Mapping:
     """Per model, the ≤max_stages assignment with the smallest predicted
     bottleneck stage time (transfer added to every non-first stage).
-    Contention between models is ignored by design."""
+    Contention between models is ignored by design.
+
+    Every candidate is scored at once from a (start, end, unit) stage-time
+    table. Of the candidates tied at the smallest bottleneck, the
+    lexicographically smallest per-layer tuple wins: the first one that
+    `iter_assignments` yields."""
+    if max_stages < 1:
+        raise ValueError("max_stages must be >= 1")
     workload.validate_for(profile)
+    n_units = profile.num_units
     assignments = []
     for model_idx in workload.model_indices:
         model = profile.models[model_idx]
         pred = linreg.predict_model(model)
         n = model.num_layers
-        stage_time = {
-            (s, e, u): pred[s:e, u].sum() + (profile.transfer_ms if s else 0.0)
-            for s in range(n)
-            for e in range(s + 1, n + 1)
-            for u in range(profile.num_units)
-        }
-        best, best_time = None, None
-        for cand in iter_assignments(n, profile.num_units, max_stages):
-            bottleneck = 0.0
-            for stage in stage_bounds(cand):
-                bottleneck = max(bottleneck, stage_time[stage])
-            if best_time is None or bottleneck < best_time:
-                best, best_time = cand, bottleneck
-        assignments.append(best)
+        table = np.zeros((n, n + 1, n_units))
+        for s in range(n):
+            for e in range(s + 1, n + 1):
+                for u in range(n_units):
+                    table[s, e, u] = pred[s:e, u].sum() + (profile.transfer_ms if s else 0.0)
+        # per stage count k: (cut sets, unit sequences, their bottlenecks)
+        scored = []
+        for k in range(1, min(max_stages, n) + 1):
+            cuts = list(itertools.combinations(range(1, n), k - 1))
+            starts = np.array([(0, *c) for c in cuts], dtype=np.intp)
+            ends = np.array([(*c, n) for c in cuts], dtype=np.intp)
+            units = np.array(
+                [
+                    seq
+                    for seq in itertools.product(range(n_units), repeat=k)
+                    if all(a != b for a, b in zip(seq, seq[1:]))
+                ],
+                dtype=np.intp,
+            ).reshape(-1, k)
+            # each candidate's largest stage time, floored at 0.0
+            bottleneck = np.zeros((len(starts), len(units)))
+            for i in range(k):
+                stage = table[starts[:, None, i], ends[:, None, i], units[None, :, i]]
+                np.maximum(bottleneck, stage, out=bottleneck)
+            scored.append((starts, ends, units, bottleneck))
+        best_time = min(bottleneck.min(initial=np.inf) for *_, bottleneck in scored)
+        assignments.append(min(
+            tuple(
+                u
+                for s, e, u in zip(starts[c].tolist(), ends[c].tolist(), units[q].tolist())
+                for _ in range(s, e)
+            )
+            for starts, ends, units, bottleneck in scored
+            for c, q in zip(*np.nonzero(bottleneck == best_time))
+        ))
     return Mapping(assignments=tuple(assignments))
 
 
@@ -143,6 +172,8 @@ class GaConfig:
             raise ValueError("mutation_rate must be in [0, 1]")
         if self.generations < 1 or self.tournament_k < 1:
             raise ValueError("generations and tournament_k must be >= 1")
+        if self.stage_limit < 1:
+            raise ValueError("stage_limit must be >= 1")
 
 
 def merge_to_limit(
@@ -151,18 +182,25 @@ def merge_to_limit(
     """Repair pass: merge the cheapest stage into its cheaper-cost adjacent
     neighbor (reassigning its layers to the neighbor's unit) until the
     assignment has at most `limit` stages. `costs[u][l]` is the model's
-    layer cost table, `profile.layer_costs[m]`.
+    layer cost table, `profile.layer_costs[m]`. Ties go to the first
+    cheapest stage and to the left neighbor.
 
     `stages` and `cost` are kept equal to `stage_bounds(out)` and its stage
     sums: a merge joins the victim, the target and, when it is on the
     target's unit too, the victim's other neighbor into one run."""
     out = list(assignment)
     stages = stage_bounds(out)
+    if len(stages) <= limit:
+        return out
     cost = [sum(costs[u][s:e]) for s, e, u in stages]
     while len(stages) > limit:
-        victim = min(range(len(stages)), key=cost.__getitem__)
-        neighbors = [i for i in (victim - 1, victim + 1) if 0 <= i < len(stages)]
-        target = min(neighbors, key=cost.__getitem__)
+        victim = cost.index(min(cost))
+        if victim == 0:
+            target = 1
+        elif victim == len(stages) - 1 or cost[victim - 1] <= cost[victim + 1]:
+            target = victim - 1
+        else:
+            target = victim + 1
         unit = stages[target][2]
         s, e, _ = stages[victim]
         out[s:e] = [unit] * (e - s)
@@ -182,57 +220,61 @@ def ga_schedule(
     evaluator,
     config: GaConfig | None = None,
 ) -> Mapping:
+    """Evolve flat per-layer unit strings under `evaluator`. The random draws
+    come in a fixed order (initial population; then per child two
+    tournaments, a crossover point and one draw per gene), so a seed fixes
+    the result."""
     config = config or GaConfig()
     workload.validate_for(profile)
     if len(workload) == 0:
         raise ValueError("cannot schedule an empty workload")
-    models = [profile.models[i] for i in workload.model_indices]
-    costs = [profile.layer_costs[i] for i in workload.model_indices]
-    bounds = np.cumsum([0] + [m.num_layers for m in models])
-    total = int(bounds[-1])
+    bounds = list(itertools.accumulate(
+        (profile.models[i].num_layers for i in workload.model_indices), initial=0
+    ))
+    spans = [
+        (bounds[pos], bounds[pos + 1], profile.layer_costs[i])
+        for pos, i in enumerate(workload.model_indices)
+    ]
+    total = bounds[-1]
+    size, k, limit = config.population, config.tournament_k, config.stage_limit
+    rate, n_units = config.mutation_rate, profile.num_units
     rng = random.Random(config.seed)
+    randrange, draw = rng.randrange, rng.random
 
     def to_mapping(genes: list[int]) -> Mapping:
-        return Mapping(
-            assignments=tuple(
-                tuple(genes[bounds[i] : bounds[i + 1]]) for i in range(len(models))
-            )
-        )
+        return Mapping(assignments=tuple(tuple(genes[s:e]) for s, e, _ in spans))
 
-    def repair(genes: list[int]) -> list[int]:
-        for i, rows in enumerate(costs):
-            seg = merge_to_limit(genes[bounds[i] : bounds[i + 1]], rows, config.stage_limit)
-            genes[bounds[i] : bounds[i + 1]] = seg
-        return genes
+    def evaluate(pop: list[list[int]]) -> list[float]:
+        return evaluator.score_batch(workload, [to_mapping(g) for g in pop]).tolist()
+
+    def tournament(fitness: list[float]) -> list[int]:
+        """Best of k drawn indices by fitness, the lower index on a tie."""
+        best = randrange(size)
+        for _ in range(k - 1):
+            i = randrange(size)
+            if fitness[i] > fitness[best] or (fitness[i] == fitness[best] and i < best):
+                best = i
+        return population[best]
 
     population = [
-        [u for a in random_mapping_rng(workload, profile, config.stage_limit, rng).assignments for u in a]
-        for _ in range(config.population)
+        [u for a in random_mapping_rng(workload, profile, limit, rng).assignments for u in a]
+        for _ in range(size)
     ]
-
-    def evaluate(pop: list[list[int]]) -> np.ndarray:
-        return evaluator.score_batch(workload, [to_mapping(g) for g in pop])
-
-    def tournament(fitness: np.ndarray) -> list[int]:
-        contenders = [rng.randrange(config.population) for _ in range(config.tournament_k)]
-        winner = max(contenders, key=lambda i: (fitness[i], -i))
-        return population[winner]
-
     for _ in range(config.generations):
         fitness = evaluate(population)
-        order = sorted(range(config.population), key=lambda i: (-fitness[i], i))
+        order = sorted(range(size), key=lambda i: (-fitness[i], i))
         nxt = [list(population[i]) for i in order[: config.elitism]]
-        while len(nxt) < config.population:
+        while len(nxt) < size:
             p1, p2 = tournament(fitness), tournament(fitness)
-            point = rng.randrange(1, total) if total > 1 else 0
-            child = p1[:point] + p2[point:]
+            point = randrange(1, total) if total > 1 else 0
             child = [
-                rng.randrange(profile.num_units) if rng.random() < config.mutation_rate else g
-                for g in child
+                randrange(n_units) if draw() < rate else g for g in p1[:point] + p2[point:]
             ]
-            nxt.append(repair(child))
+            for s, e, costs in spans:
+                child[s:e] = merge_to_limit(child[s:e], costs, limit)
+            nxt.append(child)
         population = nxt
 
     fitness = evaluate(population)
-    best = max(range(config.population), key=lambda i: (fitness[i], -i))
+    best = max(range(size), key=lambda i: (fitness[i], -i))
     return to_mapping(population[best])

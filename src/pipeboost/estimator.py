@@ -79,12 +79,18 @@ def _conv(x, w, b):
     return _conv_forward(x, w, b)[0]
 
 
+def _conv_param_grads(dout, cache):
+    """A conv's weight and bias gradients; the input gradient is skipped."""
+    (bs, _, h, wd), cols, w = cache
+    dw = np.matmul(dout.reshape(bs, w.shape[0], h * wd), cols.transpose(0, 2, 1)).sum(axis=0)
+    return dw.reshape(w.shape), dout.sum(axis=(0, 2, 3))
+
+
 def _conv_backward(dout, cache):
     (bs, c, h, wd), cols, w = cache
     o = w.shape[0]
+    dw, db = _conv_param_grads(dout, cache)
     dflat = dout.reshape(bs, o, h * wd)
-    dw = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0)
-    db = dout.sum(axis=(0, 2, 3))
     dcols = np.matmul(w.reshape(o, c * 9).T, dflat).reshape(bs, c, 9, h, wd)
     dxp = np.zeros((bs, c, h + 2, wd + 2))
     k = 0
@@ -92,49 +98,47 @@ def _conv_backward(dout, cache):
         for dj in range(3):
             dxp[:, :, di : di + h, dj : dj + wd] += dcols[:, :, k]
             k += 1
-    return dxp[:, :, 1 : h + 1, 1 : wd + 1], dw.reshape(w.shape), db
+    return dxp[:, :, 1 : h + 1, 1 : wd + 1], dw, db
 
 
-def _pool_forward(x):
-    b, c, h, w = x.shape
-    if h < 2 or w < 2:
-        return x, None
-    h2, w2 = h // 2, w // 2
-    xr = (
-        x[:, :, : 2 * h2, : 2 * w2]
-        .reshape(b, c, h2, 2, w2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, h2, w2, 4)
-    )
-    idx = xr.argmax(axis=-1)
-    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-    return out, (x.shape, idx)
+def _pool_views(x):
+    """The four strided views of a 2x2 max-pool, in (0,0), (0,1), (1,0),
+    (1,1) window order; an odd last row or column is dropped."""
+    h2, w2 = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+    return [x[:, :, i:h2:2, j:w2:2] for i in (0, 1) for j in (0, 1)]
 
 
 def _pool(x):
-    """Inference pool: `_pool_forward`'s output as the max of four strided views."""
+    """Inference pool: the max of the four strided views."""
     h, w = x.shape[2:]
     if h < 2 or w < 2:
         return x
-    h2, w2 = h // 2 * 2, w // 2 * 2
-    top = np.maximum(x[:, :, 0:h2:2, 0:w2:2], x[:, :, 0:h2:2, 1:w2:2])
-    bottom = np.maximum(x[:, :, 1:h2:2, 0:w2:2], x[:, :, 1:h2:2, 1:w2:2])
-    return np.maximum(top, bottom)
+    v00, v01, v10, v11 = _pool_views(x)
+    return np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
+
+
+def _pool_forward(x):
+    """`_pool`'s output and, per view, a mask of the windows whose first
+    maximum it holds: the gradient routing of an argmax."""
+    out = _pool(x)
+    if out is x:
+        return x, None
+    masks = []
+    taken = np.zeros(out.shape, dtype=bool)
+    for view in _pool_views(x):
+        mask = (view == out) & ~taken
+        taken |= mask
+        masks.append(mask)
+    return out, (x.shape, masks)
 
 
 def _pool_backward(dout, cache):
     if cache is None:
         return dout
-    (b, c, h, w), idx = cache
-    h2, w2 = idx.shape[2], idx.shape[3]
-    dxr = np.zeros((b, c, h2, w2, 4))
-    np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
-    dx = np.zeros((b, c, h, w))
-    dx[:, :, : 2 * h2, : 2 * w2] = (
-        dxr.reshape(b, c, h2, w2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, 2 * h2, 2 * w2)
-    )
+    shape, masks = cache
+    dx = np.zeros(shape)
+    for view, mask in zip(_pool_views(dx), masks):
+        view[...] = np.where(mask, dout, 0.0)
     return dx
 
 
@@ -337,7 +341,7 @@ class EstimatorNet:
         db_act = _pool_backward(db_out, cache["pool1"]) * gelu_grad(b_pre)
         da, grads["convB.w"], grads["convB.b"] = _conv_backward(db_act, cache["convB"])
         da = da * gelu_grad(a_pre)
-        _, grads["convA.w"], grads["convA.b"] = _conv_backward(da, cache["convA"])
+        grads["convA.w"], grads["convA.b"] = _conv_param_grads(da, cache["convA"])
         return grads
 
 

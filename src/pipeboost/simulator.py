@@ -112,12 +112,15 @@ def validate_mapping(
 
 def stage_bounds(assignment: tuple[int, ...] | list[int]) -> list[tuple[int, int, int]]:
     """Maximal runs of equal unit ids, as (start, end_exclusive, unit)."""
+    if not assignment:
+        return []
     bounds = []
-    start = 0
-    for l in range(1, len(assignment) + 1):
-        if l == len(assignment) or assignment[l] != assignment[start]:
-            bounds.append((start, l, assignment[start]))
-            start = l
+    start, prev = 0, assignment[0]
+    for l, u in enumerate(assignment):
+        if u != prev:
+            bounds.append((start, l, prev))
+            start, prev = l, u
+    bounds.append((start, len(assignment), prev))
     return bounds
 
 
@@ -341,6 +344,7 @@ def _random_assignment(
 def random_mapping_rng(
     workload: Workload, profile: DeviceProfile, max_stages: int, rng: random.Random
 ) -> Mapping:
+    """Sample a mapping: uniform stage count, cut points, and unit runs per model."""
     workload.validate_for(profile)
     if max_stages < 1:
         raise ValueError("max_stages must be >= 1")
@@ -352,13 +356,6 @@ def random_mapping_rng(
             for i in workload.model_indices
         )
     )
-
-
-def random_mapping(
-    workload: Workload, profile: DeviceProfile, max_stages: int, seed: int
-) -> Mapping:
-    """Sample a mapping: uniform stage count, cut points, and unit runs per model."""
-    return random_mapping_rng(workload, profile, max_stages, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------

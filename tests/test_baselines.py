@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -59,6 +60,61 @@ def mosaic_by_stage_sums(workload, profile, linreg, max_stages):
                 best, best_time = cand, bottleneck
         assignments.append(best)
     return Mapping(assignments=tuple(assignments))
+
+
+def ga_by_loop(workload, profile, evaluator, config):
+    """Tournament by `max` over a contenders list, fitness as a numpy array:
+    the reference for `ga_schedule`."""
+    models = [profile.models[i] for i in workload.model_indices]
+    costs = [profile.layer_costs[i] for i in workload.model_indices]
+    bounds = np.cumsum([0] + [m.num_layers for m in models])
+    total = int(bounds[-1])
+    rng = random.Random(config.seed)
+
+    def to_mapping(genes):
+        return Mapping(
+            assignments=tuple(
+                tuple(genes[bounds[i] : bounds[i + 1]]) for i in range(len(models))
+            )
+        )
+
+    def repair(genes):
+        for i, rows in enumerate(costs):
+            seg = merge_to_limit(genes[bounds[i] : bounds[i + 1]], rows, config.stage_limit)
+            genes[bounds[i] : bounds[i + 1]] = seg
+        return genes
+
+    population = [
+        [u for a in random_mapping_rng(workload, profile, config.stage_limit, rng).assignments for u in a]
+        for _ in range(config.population)
+    ]
+
+    def evaluate(pop):
+        return evaluator.score_batch(workload, [to_mapping(g) for g in pop])
+
+    def tournament(fitness):
+        contenders = [rng.randrange(config.population) for _ in range(config.tournament_k)]
+        winner = max(contenders, key=lambda i: (fitness[i], -i))
+        return population[winner]
+
+    for _ in range(config.generations):
+        fitness = evaluate(population)
+        order = sorted(range(config.population), key=lambda i: (-fitness[i], i))
+        nxt = [list(population[i]) for i in order[: config.elitism]]
+        while len(nxt) < config.population:
+            p1, p2 = tournament(fitness), tournament(fitness)
+            point = rng.randrange(1, total) if total > 1 else 0
+            child = p1[:point] + p2[point:]
+            child = [
+                rng.randrange(profile.num_units) if rng.random() < config.mutation_rate else g
+                for g in child
+            ]
+            nxt.append(repair(child))
+        population = nxt
+
+    fitness = evaluate(population)
+    best = max(range(config.population), key=lambda i: (fitness[i], -i))
+    return to_mapping(population[best])
 
 
 def merge_by_rescan(assignment, costs, limit):
@@ -209,6 +265,24 @@ def test_mosaic_equals_stage_sum_reference(profile_seed):
         )
 
 
+@pytest.mark.parametrize("weight", [0.0, 0.5, 1.0, 2.0])
+def test_mosaic_keeps_the_first_of_tied_candidates(weight):
+    # every layer costs `weight` on every unit, so many cut points and unit
+    # sequences tie; the enumeration's first (lexicographically smallest) wins
+    profile = pb.generate_profile(8, seed=11)
+    lin = LinRegModel(weights=np.array([[0.0, 0.0, 0.0, weight]] * profile.num_units))
+    mix = Workload((0, 3, 6))
+    for limit in (1, 2, 3):
+        assert mosaic_schedule(mix, profile, lin, limit) == mosaic_by_stage_sums(
+            mix, profile, lin, limit
+        )
+
+
+def test_mosaic_refuses_a_stage_limit_below_one(gen_profile):
+    with pytest.raises(ValueError, match="max_stages"):
+        mosaic_schedule(Workload((0,)), gen_profile, fit_linreg(gen_profile), 0)
+
+
 # ---------------------------------------------------------------------- ga
 
 def test_merge_to_limit_reduces_stage_count(tiny_profile):
@@ -248,6 +322,19 @@ def test_merge_to_limit_equals_rescan_reference(profile_seed):
         )
 
 
+def test_merge_to_limit_breaks_ties_like_rescan_reference():
+    # equal layer costs on every unit: stages of equal length tie, and the
+    # first cheapest stage and the left neighbor must win
+    costs = ((1.0,) * 12,) * 3
+    rng = random.Random(5)
+    for _ in range(500):
+        assignment = [rng.randrange(3) for _ in range(12)]
+        limit = rng.randint(1, 6)
+        assert merge_to_limit(assignment, costs, limit) == merge_by_rescan(
+            assignment, costs, limit
+        )
+
+
 def test_merge_to_limit_merges_cheapest_into_cheaper_neighbor(tiny_profile):
     # costs on units: a0=2/4/8, a1=3/6/12, a2=1/2/4
     # stages of [0,1,2]: (a0@0: 2), (a1@1: 6), (a2@2: 4) -> victim a0,
@@ -279,6 +366,32 @@ def test_ga_deterministic_and_improves_over_generation_zero(gen_profile):
     assert t_final >= t_short
 
 
+class CoarseEvaluator:
+    """Three distinct scores, so most tournaments meet a tie."""
+
+    def score_batch(self, workload, mappings):
+        return np.array([float(sum(a.count(0) for a in m.assignments) % 3) for m in mappings])
+
+
+@pytest.mark.parametrize("profile_seed", [11, 22, 33])
+@pytest.mark.parametrize("coarse", [False, True])
+def test_ga_equals_loop_reference(profile_seed, coarse):
+    profile = pb.generate_profile(8, seed=profile_seed)
+    evaluator = CoarseEvaluator() if coarse else SimulatorEvaluator(profile)
+    rng = random.Random(profile_seed)
+    for trial, (limit, k, elitism) in enumerate(
+        itertools.product((1, 2, 3), (1, 2, 3, 4), (0, 2))
+    ):
+        wl = Workload(tuple(rng.sample(range(8), trial % 5 + 1)))
+        config = GaConfig(
+            population=10, generations=4, tournament_k=k, elitism=elitism,
+            stage_limit=limit, seed=trial,
+        )
+        assert ga_schedule(wl, profile, evaluator, config) == ga_by_loop(
+            wl, profile, evaluator, config
+        )
+
+
 def test_ga_config_validation():
     with pytest.raises(ValueError):
         GaConfig(population=1)
@@ -286,3 +399,5 @@ def test_ga_config_validation():
         GaConfig(elitism=50, population=10)
     with pytest.raises(ValueError):
         GaConfig(mutation_rate=1.5)
+    with pytest.raises(ValueError, match="stage_limit"):
+        GaConfig(stage_limit=0)

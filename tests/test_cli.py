@@ -167,6 +167,17 @@ def test_compare_csv_output(cli_workspace, capsys):
     assert all(float(r[3]) > 0 for r in rows[1:])
 
 
+@pytest.mark.parametrize("method", ["mosaic", "ga"])
+def test_compare_stage_limit_below_one_is_a_clean_error(cli_workspace, capsys, method):
+    code, _, err = run(
+        capsys, "compare", "--profile", str(cli_workspace / "profile.json"),
+        "--evaluator", "simulator", "--methods", f"gpu,{method}",
+        "--random-mixes", "1", "--mix-size", "2", "--stage-limit", "0",
+    )
+    assert code == 1
+    assert "error:" in err and "stage" in err
+
+
 def test_compare_json_output(cli_workspace, capsys):
     prof = cli_workspace / "profile.json"
     code, out, _ = run(

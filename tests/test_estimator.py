@@ -7,6 +7,8 @@ from pipeboost.estimator import (
     PARAM_COUNT,
     EstimatorNet,
     TargetStats,
+    _pool_backward,
+    _pool_forward,
     gelu,
     gelu_grad,
     load_weights,
@@ -81,6 +83,50 @@ def test_inference_forward_equals_training_forward(shape, batch):
     assert np.array_equal(net.forward(x), want)
     if batch == 1:
         assert np.array_equal(net.forward(x[0]), want[0])
+
+
+def pool_by_argmax(x, dout):
+    """2x2 max-pool by argmax over the windows, and its gradient by
+    `put_along_axis`: the reference for `_pool_forward`/`_pool_backward`."""
+    b, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    xr = (
+        x[:, :, : 2 * h2, : 2 * w2]
+        .reshape(b, c, h2, 2, w2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(b, c, h2, w2, 4)
+    )
+    idx = xr.argmax(axis=-1)
+    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
+    dxr = np.zeros((b, c, h2, w2, 4))
+    np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
+    dx = np.zeros((b, c, h, w))
+    dx[:, :, : 2 * h2, : 2 * w2] = (
+        dxr.reshape(b, c, h2, w2, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(b, c, 2 * h2, 2 * w2)
+    )
+    return out, dx
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4, 6), (2, 3, 5, 7), (1, 4, 11, 28), (3, 2, 3, 2)])
+def test_pool_equals_argmax_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    # small integers make many windows tie; the zeroed quarter ties at 0.0
+    x = rng.integers(-2, 3, size=shape).astype(np.float64)
+    x[:, :, : shape[2] // 2] = 0.0
+    out, cache = _pool_forward(x)
+    dout = rng.normal(size=out.shape)
+    want_out, want_dx = pool_by_argmax(x, dout)
+    assert np.array_equal(out, want_out)
+    assert np.array_equal(_pool_backward(dout, cache), want_dx)
+
+
+def test_pool_passes_through_below_two():
+    x = np.arange(6.0).reshape(1, 1, 1, 6)
+    out, cache = _pool_forward(x)
+    assert out is x and cache is None
+    assert _pool_backward(x, cache) is x
 
 
 def test_forward_rejects_wrong_shape():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,14 @@ from pipeboost.baselines import gpu_only
 from pipeboost.errors import MappingError
 from pipeboost.estimator import EstimatorNet
 from pipeboost.evaluators import EstimatorEvaluator, SimulatorEvaluator
-from pipeboost.simulator import Mapping, random_mapping, simulate
+from pipeboost.simulator import Mapping, random_mapping_rng, simulate
 from pipeboost.workload import Workload
 
 
 def test_simulator_evaluator_monotone_in_throughput(gen_profile):
     ev = SimulatorEvaluator(gen_profile)
     wl = Workload((0, 4))
-    maps = [random_mapping(wl, gen_profile, max_stages=3, seed=i) for i in range(12)]
+    maps = [random_mapping_rng(wl, gen_profile, 3, random.Random(i)) for i in range(12)]
     ts = [simulate(wl, m, gen_profile).avg_throughput for m in maps]
     scores = [ev.score(wl, m) for m in maps]
     # same ordering
@@ -32,7 +34,7 @@ def test_simulator_evaluator_reference_point(gen_profile):
 def test_simulator_evaluator_batch_matches_scalar(gen_profile):
     ev = SimulatorEvaluator(gen_profile)
     wl = Workload((3, 5))
-    maps = [random_mapping(wl, gen_profile, max_stages=3, seed=i) for i in range(5)]
+    maps = [random_mapping_rng(wl, gen_profile, 3, random.Random(i)) for i in range(5)]
     batch = ev.score_batch(wl, maps)
     assert np.array_equal(batch, [ev.score(wl, m) for m in maps])
     assert ev.score_batch(wl, []).shape == (0,)
@@ -57,7 +59,7 @@ def test_estimator_evaluator_requires_training(gen_profile):
 def test_estimator_evaluator_score_range_and_batch(gen_profile, quick_net):
     ev = EstimatorEvaluator(quick_net, gen_profile)
     wl = Workload((2, 4))
-    maps = [random_mapping(wl, gen_profile, max_stages=3, seed=i) for i in range(6)]
+    maps = [random_mapping_rng(wl, gen_profile, 3, random.Random(i)) for i in range(6)]
     scores = [ev.score(wl, m) for m in maps]
     assert all(0.0 <= s <= 1.0 for s in scores)
     np.testing.assert_allclose(ev.score_batch(wl, maps), scores, atol=1e-12)

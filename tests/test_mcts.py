@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pipeboost as pb
 from pipeboost.evaluators import SimulatorEvaluator
 from pipeboost.mcts import (
     MctsConfig,
@@ -17,7 +16,13 @@ from pipeboost.mcts import (
     rollout,
     schedule,
 )
-from pipeboost.simulator import exhaustive_best, simulate, stage_count, validate_mapping
+from pipeboost.simulator import (
+    exhaustive_best,
+    random_mapping_rng,
+    simulate,
+    stage_count,
+    validate_mapping,
+)
 from pipeboost.workload import Workload, generate_profile
 
 
@@ -212,7 +217,9 @@ def test_schedule_beats_median_random(gen_profile):
     mapping, _ = schedule(wl, gen_profile, ev, MctsConfig(budget=300, seed=2))
     got = simulate(wl, mapping, gen_profile).avg_throughput
     ts = sorted(
-        simulate(wl, pb.random_mapping(wl, gen_profile, max_stages=3, seed=i), gen_profile).avg_throughput
+        simulate(
+            wl, random_mapping_rng(wl, gen_profile, 3, random.Random(i)), gen_profile
+        ).avg_throughput
         for i in range(51)
     )
     assert got > ts[25]

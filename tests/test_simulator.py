@@ -321,13 +321,13 @@ def test_exhaustive_best_respects_enumeration_cap(gen_profile):
 
 def test_random_mapping_valid_and_seeded(gen_profile):
     wl = Workload((0, 3, 5))
-    m1 = pb.random_mapping(wl, gen_profile, seed=4, max_stages=3)
-    m2 = pb.random_mapping(wl, gen_profile, seed=4, max_stages=3)
+    m1 = random_mapping_rng(wl, gen_profile, 3, random.Random(4))
+    m2 = random_mapping_rng(wl, gen_profile, 3, random.Random(4))
     assert m1 == m2
     validate_mapping(m1, gen_profile, wl)
     for a in m1.assignments:
         assert stage_count(a) <= 3
-    m3 = pb.random_mapping(wl, gen_profile, seed=5, max_stages=3)
+    m3 = random_mapping_rng(wl, gen_profile, 3, random.Random(5))
     assert m1 != m3  # overwhelmingly likely for this space
 
 
