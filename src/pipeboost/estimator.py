@@ -32,37 +32,65 @@ _GELU_K = 0.7978845608028654  # sqrt(2/pi)
 
 
 # Cubes are written as x2 * x: numpy has no fast path for `x**3`, which goes
-# through the general `pow` and is far slower than two multiplies.
+# through the general `pow` and is far slower than two multiplies. Both
+# functions work in place on their own temporaries, with the float operations
+# of `0.5 * x * (1 + tanh(K * (x + 0.044715 * x2 * x)))` in the same order, so
+# they give the same bits with fewer allocations. They never write `x`: the
+# training cache keeps the pre-activations, and search inputs are read-only.
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    x2 = x * x
-    return 0.5 * x * (1.0 + np.tanh(_GELU_K * (x + 0.044715 * (x2 * x))))
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    t += 1.0
+    h = 0.5 * x
+    h *= t
+    return h
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
     # d/dx [0.5 x (1 + tanh(u))], u = k (x + 0.044715 x^3)
+    # = 0.5 (1 + t) + 0.5 x (1 - t^2) du, t = tanh(u), du = k (1 + 3 * 0.044715 x^2)
     x2 = x * x
-    u = _GELU_K * (x + 0.044715 * (x2 * x))
-    t = np.tanh(u)
-    du = _GELU_K * (1.0 + 3 * 0.044715 * x2)
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+    t = x2 * x
+    t *= 0.044715
+    t += x
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    du = x2
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_K
+    g = t * t
+    np.subtract(1.0, g, out=g)
+    g *= 0.5 * x
+    g *= du
+    t += 1.0
+    t *= 0.5
+    t += g
+    return t
 
 
 # ---------------------------------------------------------------------------
 # Primitive layers: 3x3 same-padding conv (im2col), 2x2 max-pool
 # ---------------------------------------------------------------------------
 
+# Columns come from one strided copy, not nine slice copies: a (B, C, 3, 3,
+# H, W) window view of the private padded buffer, reshaped, so they never
+# alias `x` (`backward` caches them).
+
 def _im2col(x: np.ndarray) -> np.ndarray:
     b, c, h, w = x.shape
     xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
     xp[:, :, 1 : h + 1, 1 : w + 1] = x
-    cols = np.empty((b, c, 9, h, w), dtype=x.dtype)
-    k = 0
-    for di in range(3):
-        for dj in range(3):
-            cols[:, :, k] = xp[:, :, di : di + h, dj : dj + w]
-            k += 1
-    return cols.reshape(b, c * 9, h * w)
+    s0, s1, s2, s3 = xp.strides
+    windows = np.ndarray(
+        (b, c, 3, 3, h, w), dtype=xp.dtype, buffer=xp, strides=(s0, s1, s2, s3, s2, s3)
+    )
+    return windows.reshape(b, c * 9, h * w)
 
 
 def _conv_forward(x, w, b):

@@ -39,6 +39,8 @@ class EstimatorEvaluator:
         return float(pred.mean())
 
     def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
+        if not mappings:
+            return np.zeros(0)
         xs = np.stack(
             [
                 masked_input(self.embedding, build_mask(workload, m, self.profile))

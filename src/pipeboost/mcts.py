@@ -116,8 +116,10 @@ def rollout(
 
     Works on mutable lists and builds one `SearchState` at the end, but must
     behave exactly like stepping `actions` and `apply` move by move: the same
-    `rng.choice` on the same legal lists, so that it draws the same random
+    `rng.choice` on the same legal units, so that it draws the same random
     sequence. Seeded searches return the same mapping only while that holds.
+    The legal units depend only on (stages used, previous unit), so each
+    pair's tuple is built once per rollout.
     """
     taken: list[int] = []
     if state.cursor is None:
@@ -125,6 +127,7 @@ def rollout(
     counts = state.layer_counts
     limit = state.stage_limit
     units = range(state.num_units)
+    legal: dict[tuple[int, int | None], tuple[int, ...]] = {}
     assignments = [list(a) for a in state.assignments]
     stage_counts = list(state.stage_counts)
     m, l = state.cursor
@@ -133,7 +136,12 @@ def rollout(
         prev = row[-1] if l > 0 else None
         if len(taken) < config.max_depth:
             used = stage_counts[m]
-            a = rng.choice([u for u in units if used + (u != prev) <= limit])
+            choices = legal.get((used, prev))
+            if choices is None:
+                choices = legal[used, prev] = tuple(
+                    u for u in units if used + (u != prev) <= limit
+                )
+            a = rng.choice(choices)
         else:
             a = 0 if prev is None else prev
         stage_counts[m] += a != prev

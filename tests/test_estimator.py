@@ -7,6 +7,7 @@ from pipeboost.estimator import (
     PARAM_COUNT,
     EstimatorNet,
     TargetStats,
+    _im2col,
     _pool_backward,
     _pool_forward,
     gelu,
@@ -153,6 +154,67 @@ def test_gelu_against_reference():
     h = 1e-6
     num = (gelu(x + h) - gelu(x - h)) / (2 * h)
     np.testing.assert_allclose(gelu_grad(x), num, atol=1e-8)
+
+
+def im2col_by_slices(x):
+    """(B, C*9, H*W) columns from nine slice copies of the zero-padded input:
+    the reference for `_im2col`."""
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
+    xp[:, :, 1 : h + 1, 1 : w + 1] = x
+    cols = np.empty((b, c, 9, h, w), dtype=x.dtype)
+    k = 0
+    for di in range(3):
+        for dj in range(3):
+            cols[:, :, k] = xp[:, :, di : di + h, dj : dj + w]
+            k += 1
+    return cols.reshape(b, c * 9, h * w)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 3, 11, 28), (32, 16, 5, 14), (2, 24, 2, 7), (1, 3, 1, 1), (0, 8, 4, 6)]
+)
+def test_im2col_equals_slice_reference(shape):
+    x = np.random.default_rng(sum(shape)).normal(size=shape)
+    for arr in (x, x[..., ::-1], x.transpose(0, 1, 3, 2)):  # strided inputs too
+        arr.flags.writeable = False
+        cols = _im2col(arr)
+        assert cols.shape == (shape[0], shape[1] * 9, arr.shape[2] * arr.shape[3])
+        assert np.array_equal(cols, im2col_by_slices(arr))
+        assert not np.shares_memory(cols, arr)
+
+
+def gelu_by_expression(x):
+    x2 = x * x
+    return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * (x2 * x))))
+
+
+def gelu_grad_by_expression(x):
+    k = 0.7978845608028654
+    x2 = x * x
+    t = np.tanh(k * (x + 0.044715 * (x2 * x)))
+    du = k * (1.0 + 3 * 0.044715 * x2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+def test_gelu_and_grad_equal_expression_reference_bit_for_bit():
+    rng = np.random.default_rng(0)
+    x = np.concatenate(
+        [
+            rng.normal(0.0, 3.0, 4000),
+            rng.uniform(-50.0, 50.0, 2000),
+            10.0 ** rng.uniform(-300, 300, 1000) * rng.choice([-1.0, 1.0], 1000),
+            [0.0, -0.0, 1e-320, -1e-320, 1e103, -1e103, 1e308, -1e308],  # cubes overflow
+        ]
+    )
+    x.flags.writeable = False
+    before = x.copy()
+    bits = lambda a: a.view(np.int64)  # -0.0 is not 0.0, and NaN equals its own bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        for arr in (x, x[::-3], x[:7000].reshape(2, 5, 700)):
+            assert np.array_equal(bits(gelu(arr)), bits(gelu_by_expression(arr)))
+            assert np.array_equal(bits(gelu_grad(arr)), bits(gelu_grad_by_expression(arr)))
+    assert np.array_equal(bits(x), bits(before))
 
 
 def test_gradients_match_finite_differences():

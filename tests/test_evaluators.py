@@ -37,7 +37,16 @@ def test_simulator_evaluator_batch_matches_scalar(gen_profile):
     maps = [random_mapping_rng(wl, gen_profile, 3, random.Random(i)) for i in range(5)]
     batch = ev.score_batch(wl, maps)
     assert np.array_equal(batch, [ev.score(wl, m) for m in maps])
-    assert ev.score_batch(wl, []).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", ["simulator", "estimator"])
+def test_score_batch_of_no_mappings_is_empty(gen_profile, quick_net, kind):
+    if kind == "simulator":
+        ev = SimulatorEvaluator(gen_profile)
+    else:
+        ev = EstimatorEvaluator(quick_net, gen_profile)
+    out = ev.score_batch(Workload((3, 5)), [])
+    assert out.shape == (0,) and out.dtype == np.float64
 
 
 def test_simulator_evaluator_batch_checks_each_model_length(tiny_profile):

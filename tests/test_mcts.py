@@ -142,6 +142,7 @@ def rollout_by_steps(state, rng, config):
         MctsConfig(seed=0),
         MctsConfig(max_depth=3, seed=0),  # the greedy fill runs
         MctsConfig(max_depth=1, stage_limit=1, seed=0),
+        MctsConfig(stage_limit=2, seed=0),  # the limit binds mid-model at full depth
     ],
 )
 def test_rollout_equals_step_by_step_reference(gen_profile, cfg):
