@@ -7,10 +7,12 @@ activation. Pools are skipped when a spatial dim is < 2 so tiny test
 tensors survive the stack. Everything runs in float64 with hand-written
 backward passes; there is no autodiff here.
 
-There are two forward paths. `EstimatorNet.forward` is the inference path
-the search calls once per mapping: it keeps no caches. `forward_with_cache`
-and `backward` are the training path. The two paths must give bit-identical
-outputs, so a net scores a mapping the same way in search as in training.
+The net is written once, as the layer table `_LAYERS`, and one walk runs it.
+`EstimatorNet.forward`, the inference path the search calls once per
+mapping, walks it keeping nothing; `forward_with_cache` walks it keeping
+what training's `backward` needs, and `backward` walks the table in reverse.
+Both forward calls run the same float operations in the same order, so a
+net scores a mapping bit for bit the same in search as in training.
 
 Total trainable parameters: 224 + 1,168 + 4,640 + 3,480 + 10,416 + 75
 = 20,003, asserted at construction.
@@ -100,11 +102,6 @@ def _conv_forward(x, w, b):
     out = np.matmul(w.reshape(o, c * 9), cols).reshape(bs, o, h, wd)
     out += b[None, :, None, None]
     return out, (x.shape, cols, w)
-
-
-def _conv(x, w, b):
-    """Inference conv: `_conv_forward`'s output, with no cache kept."""
-    return _conv_forward(x, w, b)[0]
 
 
 def _conv_param_grads(dout, cache):
@@ -236,6 +233,17 @@ _SHAPES = {
     "fc.b": (3,),
 }
 
+# The layers before the GAP + linear head, in order: a conv by its parameter
+# name, "gelu", a 2x2 "pool", and a residual block as "skip" (keep the current
+# activation) ... "add" (add it back to the block's output).
+_LAYERS = (
+    "convA", "gelu",
+    "convB", "gelu", "pool",
+    "skip", "r1c1", "gelu", "r1c2", "add", "gelu",
+    "convC", "gelu", "pool",
+    "skip", "r2c1", "gelu", "r2c2", "add", "gelu",
+)
+
 
 @dataclass
 class EstimatorNet:
@@ -281,95 +289,69 @@ class EstimatorNet:
             )
         return x
 
-    def forward_with_cache(self, x: np.ndarray):
+    def _walk(self, x: np.ndarray, cache: list | None) -> np.ndarray:
+        """Run `_LAYERS` and the head on a checked batch. Given a `cache` list,
+        append one entry per layer (each conv's cache, each GELU's
+        pre-activation, each pool's masks, None for "skip" and "add"), then
+        the head's (GAP input shape, GAP output)."""
         p = self.params
-        x = self._check(x)
-        c = {}
+        for op in _LAYERS:
+            kept = None
+            if op == "gelu":
+                kept, x = x, gelu(x)
+            elif op == "pool":
+                if cache is None:
+                    x = _pool(x)
+                else:
+                    x, kept = _pool_forward(x)
+            elif op == "skip":
+                skip = x
+            elif op == "add":
+                x = skip + x
+            else:
+                x, kept = _conv_forward(x, p[op + ".w"], p[op + ".b"])
+            if cache is not None:
+                cache.append(kept)
+        g = x.mean(axis=(2, 3))
+        if cache is not None:
+            cache.append((x.shape, g))
+        return g @ p["fc.w"].T + p["fc.b"]
 
-        a_pre, c["convA"] = _conv_forward(x, p["convA.w"], p["convA.b"])
-        a = gelu(a_pre)
-        b_pre, c["convB"] = _conv_forward(a, p["convB.w"], p["convB.b"])
-        b_act = gelu(b_pre)
-        b_out, c["pool1"] = _pool_forward(b_act)
-
-        r1a_pre, c["r1c1"] = _conv_forward(b_out, p["r1c1.w"], p["r1c1.b"])
-        r1a = gelu(r1a_pre)
-        r1b_pre, c["r1c2"] = _conv_forward(r1a, p["r1c2.w"], p["r1c2.b"])
-        s1 = b_out + r1b_pre
-        r1_out = gelu(s1)
-
-        cc_pre, c["convC"] = _conv_forward(r1_out, p["convC.w"], p["convC.b"])
-        cc = gelu(cc_pre)
-        c_out, c["pool2"] = _pool_forward(cc)
-
-        r2a_pre, c["r2c1"] = _conv_forward(c_out, p["r2c1.w"], p["r2c1.b"])
-        r2a = gelu(r2a_pre)
-        r2b_pre, c["r2c2"] = _conv_forward(r2a, p["r2c2.w"], p["r2c2.b"])
-        s2 = c_out + r2b_pre
-        r2_out = gelu(s2)
-
-        g = r2_out.mean(axis=(2, 3))
-        out = g @ p["fc.w"].T + p["fc.b"]
-
-        c["pre"] = (a_pre, b_pre, r1a_pre, s1, cc_pre, r2a_pre, s2)
-        c["gap_shape"] = r2_out.shape
-        c["g"] = g
-        return out, c
+    def forward_with_cache(self, x: np.ndarray):
+        """A batch's `forward` output and the cache that `backward` reads."""
+        cache = []
+        return self._walk(self._check(x), cache), cache
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Inference: `forward_with_cache(x)[0]`, bit for bit, with no caches.
 
         A single (C, H, W) input gives a (3,) output; a batch gives (B, 3).
         """
-        p = self.params
         single = np.asarray(x).ndim == 3
-        x = self._check(x)
-
-        a = gelu(_conv(x, p["convA.w"], p["convA.b"]))
-        b_out = _pool(gelu(_conv(a, p["convB.w"], p["convB.b"])))
-
-        r1a = gelu(_conv(b_out, p["r1c1.w"], p["r1c1.b"]))
-        r1_out = gelu(b_out + _conv(r1a, p["r1c2.w"], p["r1c2.b"]))
-
-        c_out = _pool(gelu(_conv(r1_out, p["convC.w"], p["convC.b"])))
-
-        r2a = gelu(_conv(c_out, p["r2c1.w"], p["r2c1.b"]))
-        r2_out = gelu(c_out + _conv(r2a, p["r2c2.w"], p["r2c2.b"]))
-
-        out = r2_out.mean(axis=(2, 3)) @ p["fc.w"].T + p["fc.b"]
+        out = self._walk(self._check(x), None)
         return out[0] if single else out
 
     def backward(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
+        """Gradients of every parameter; `cache` is read, not consumed."""
         p = self.params
-        a_pre, b_pre, r1a_pre, s1, cc_pre, r2a_pre, s2 = cache["pre"]
-        grads = {}
-
-        grads["fc.w"] = dout.T @ cache["g"]
-        grads["fc.b"] = dout.sum(axis=0)
+        (bs, ch, h, w), g = cache[-1]
+        grads = {"fc.w": dout.T @ g, "fc.b": dout.sum(axis=0)}
         dg = dout @ p["fc.w"]
-
-        bs, ch, h, w = cache["gap_shape"]
-        dr2_out = np.broadcast_to(dg[:, :, None, None], (bs, ch, h, w)) / (h * w)
-
-        ds2 = dr2_out * gelu_grad(s2)
-        dr2b, grads["r2c2.w"], grads["r2c2.b"] = _conv_backward(ds2, cache["r2c2"])
-        dr2a = dr2b * gelu_grad(r2a_pre)
-        dc_out, grads["r2c1.w"], grads["r2c1.b"] = _conv_backward(dr2a, cache["r2c1"])
-        dc_out = dc_out + ds2  # skip connection
-
-        dcc = _pool_backward(dc_out, cache["pool2"]) * gelu_grad(cc_pre)
-        dr1_out, grads["convC.w"], grads["convC.b"] = _conv_backward(dcc, cache["convC"])
-
-        ds1 = dr1_out * gelu_grad(s1)
-        dr1b, grads["r1c2.w"], grads["r1c2.b"] = _conv_backward(ds1, cache["r1c2"])
-        dr1a = dr1b * gelu_grad(r1a_pre)
-        db_out, grads["r1c1.w"], grads["r1c1.b"] = _conv_backward(dr1a, cache["r1c1"])
-        db_out = db_out + ds1  # skip connection
-
-        db_act = _pool_backward(db_out, cache["pool1"]) * gelu_grad(b_pre)
-        da, grads["convB.w"], grads["convB.b"] = _conv_backward(db_act, cache["convB"])
-        da = da * gelu_grad(a_pre)
-        grads["convA.w"], grads["convA.b"] = _conv_param_grads(da, cache["convA"])
+        d = np.broadcast_to(dg[:, :, None, None], (bs, ch, h, w)) / (h * w)
+        for i in reversed(range(len(_LAYERS))):
+            op, kept = _LAYERS[i], cache[i]
+            if op == "gelu":
+                d = d * gelu_grad(kept)
+            elif op == "pool":
+                d = _pool_backward(d, kept)
+            elif op == "add":
+                skip = d
+            elif op == "skip":
+                d = d + skip
+            elif i == 0:  # the input needs no gradient
+                grads[op + ".w"], grads[op + ".b"] = _conv_param_grads(d, kept)
+            else:
+                d, grads[op + ".w"], grads[op + ".b"] = _conv_backward(d, kept)
         return grads
 
 

@@ -1,9 +1,13 @@
 """Scalar mapping evaluators shared by the search algorithms.
 
 Both searchers only need `score(workload, mapping) -> float in [0, 1]`
-(higher is better). The estimator-backed evaluator is the default; the
-simulator-backed one exists for oracle experiments and for callers who
-prefer exact-but-slower scoring.
+(higher is better). The estimator-backed evaluator is the default, as in
+the paper, where the net stands in for measuring each mapping on the board.
+The simulator-backed one scores with the analytic pipeline model that also
+labels the estimator's training data: it is exact for that model, and
+faster than the net (one mapping of a 5-model mix on a 2-core x86-64 VM:
+about 70 us to `simulate`, 250-400 us for a batch-1 net forward pass), so
+it serves oracle experiments.
 """
 
 from __future__ import annotations
@@ -34,14 +38,12 @@ class EstimatorEvaluator:
         self.embedding = embedding if embedding is not None else build_embedding(profile)
 
     def score(self, workload: Workload, mapping: Mapping) -> float:
-        x = masked_input(self.embedding, build_mask(workload, mapping, self.profile))
-        pred = np.clip(self.net.forward(x), 0.0, 1.0)
-        return float(pred.mean())
+        return float(self.score_batch(workload, [mapping])[0])
 
     def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
         if not mappings:
             return np.zeros(0)
-        xs = np.stack(
+        xs = np.array(
             [
                 masked_input(self.embedding, build_mask(workload, m, self.profile))
                 for m in mappings

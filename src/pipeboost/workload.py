@@ -47,9 +47,9 @@ class KernelProfile:
 
     def __post_init__(self):
         for unit, t in self.time_ms.items():
-            if t <= 0:
+            if not (math.isfinite(t) and t > 0):
                 raise ProfileError(
-                    f"kernel {self.name!r}: non-positive time {t} on unit {unit}"
+                    f"kernel {self.name!r}: time {t} on unit {unit} is not finite and > 0"
                 )
 
 

@@ -46,6 +46,17 @@ def test_unknown_method_exits_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("factor", ["nan", "inf", "1e308"])  # 1e308 overflows to inf
+def test_genprofile_with_non_finite_kernel_times_is_a_clean_error(capsys, tmp_path, factor):
+    out = tmp_path / "p.json"
+    code, _, err = run(
+        capsys, "genprofile", "--models", "3", "--factors", f"{factor},3,8", "--out", str(out)
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
 def test_missing_file_is_a_clean_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "simulate", "--profile", str(tmp_path / "nope.json"),

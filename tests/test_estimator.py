@@ -7,6 +7,9 @@ from pipeboost.estimator import (
     PARAM_COUNT,
     EstimatorNet,
     TargetStats,
+    _conv_backward,
+    _conv_forward,
+    _conv_param_grads,
     _im2col,
     _pool_backward,
     _pool_forward,
@@ -84,6 +87,70 @@ def test_inference_forward_equals_training_forward(shape, batch):
     assert np.array_equal(net.forward(x), want)
     if batch == 1:
         assert np.array_equal(net.forward(x[0]), want[0])
+
+
+def unrolled_forward_backward(net, x, dout):
+    """The net's forward pass and gradients with every layer written out, as
+    before the layer table: the reference for the table walk."""
+    p = net.params
+    c = {}
+    a_pre, c["convA"] = _conv_forward(x, p["convA.w"], p["convA.b"])
+    a = gelu(a_pre)
+    b_pre, c["convB"] = _conv_forward(a, p["convB.w"], p["convB.b"])
+    b_out, c["pool1"] = _pool_forward(gelu(b_pre))
+    r1a_pre, c["r1c1"] = _conv_forward(b_out, p["r1c1.w"], p["r1c1.b"])
+    r1b_pre, c["r1c2"] = _conv_forward(gelu(r1a_pre), p["r1c2.w"], p["r1c2.b"])
+    s1 = b_out + r1b_pre
+    cc_pre, c["convC"] = _conv_forward(gelu(s1), p["convC.w"], p["convC.b"])
+    c_out, c["pool2"] = _pool_forward(gelu(cc_pre))
+    r2a_pre, c["r2c1"] = _conv_forward(c_out, p["r2c1.w"], p["r2c1.b"])
+    r2b_pre, c["r2c2"] = _conv_forward(gelu(r2a_pre), p["r2c2.w"], p["r2c2.b"])
+    s2 = c_out + r2b_pre
+    r2_out = gelu(s2)
+    g = r2_out.mean(axis=(2, 3))
+    out = g @ p["fc.w"].T + p["fc.b"]
+
+    grads = {"fc.w": dout.T @ g, "fc.b": dout.sum(axis=0)}
+    dg = dout @ p["fc.w"]
+    bs, ch, h, w = r2_out.shape
+    dr2_out = np.broadcast_to(dg[:, :, None, None], (bs, ch, h, w)) / (h * w)
+    ds2 = dr2_out * gelu_grad(s2)
+    dr2b, grads["r2c2.w"], grads["r2c2.b"] = _conv_backward(ds2, c["r2c2"])
+    dr2a = dr2b * gelu_grad(r2a_pre)
+    dc_out, grads["r2c1.w"], grads["r2c1.b"] = _conv_backward(dr2a, c["r2c1"])
+    dc_out = dc_out + ds2
+    dcc = _pool_backward(dc_out, c["pool2"]) * gelu_grad(cc_pre)
+    dr1_out, grads["convC.w"], grads["convC.b"] = _conv_backward(dcc, c["convC"])
+    ds1 = dr1_out * gelu_grad(s1)
+    dr1b, grads["r1c2.w"], grads["r1c2.b"] = _conv_backward(ds1, c["r1c2"])
+    dr1a = dr1b * gelu_grad(r1a_pre)
+    db_out, grads["r1c1.w"], grads["r1c1.b"] = _conv_backward(dr1a, c["r1c1"])
+    db_out = db_out + ds1
+    db_act = _pool_backward(db_out, c["pool1"]) * gelu_grad(b_pre)
+    da, grads["convB.w"], grads["convB.b"] = _conv_backward(db_act, c["convB"])
+    da = da * gelu_grad(a_pre)
+    grads["convA.w"], grads["convA.b"] = _conv_param_grads(da, c["convA"])
+    return out, grads
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("shape", [(3, 2, 3), (3, 5, 7), (3, 11, 28)])
+def test_layer_walk_equals_unrolled_reference(shape, batch):
+    net = EstimatorNet.new(shape, seed=6)
+    rng = np.random.default_rng(10 + batch)
+    for name in EstimatorNet.PARAM_ORDER:
+        if name.endswith(".b"):
+            net.params[name] = rng.normal(0.0, 0.1, net.params[name].shape)
+    x = rng.random((batch,) + shape)
+    dout = rng.normal(size=(batch, 3))
+    want_out, want_grads = unrolled_forward_backward(net, x, dout)
+    out, cache = net.forward_with_cache(x)
+    assert np.array_equal(out, want_out)
+    for _ in range(2):  # backward leaves the cache as it found it
+        grads = net.backward(cache, dout)
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert np.array_equal(grads[name], want), name
 
 
 def pool_by_argmax(x, dout):
