@@ -120,6 +120,18 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.abs(pred - target).mean())
 
 
+def forward_in_slices(net: EstimatorNet, x: np.ndarray, size: int) -> np.ndarray:
+    """`net.forward(x)` bit for bit, run on slices of `size` rows (at least 2),
+    so that a validation pass holds no more activations than a training step.
+    A last slice of one row joins the one before it: the head's matmul rounds
+    a one-row batch differently from the same row in a larger batch."""
+    size = max(size, 2)
+    cuts = list(range(size, len(x), size))
+    if cuts and len(x) - cuts[-1] == 1:
+        cuts.pop()
+    return np.concatenate([net.forward(part) for part in np.split(x, cuts)])
+
+
 def train(
     net: EstimatorNet,
     samples: list[Sample],
@@ -174,7 +186,8 @@ def train(
                 )
         history["train_l1"].append(abs_sum / n_terms)
         if config.val_size:
-            history["val_l1"].append(l1_loss(net.forward(x_val), y_val))
+            pred = forward_in_slices(net, x_val, config.batch_size)
+            history["val_l1"].append(l1_loss(pred, y_val))
         else:
             history["val_l1"].append(float("nan"))
 

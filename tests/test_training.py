@@ -12,6 +12,7 @@ from pipeboost.simulator import simulate
 from pipeboost.training import (
     Sample,
     TrainConfig,
+    forward_in_slices,
     generate_dataset,
     gradient_check,
     l1_loss,
@@ -114,6 +115,20 @@ def test_gradient_check_small_sample(gen_profile):
     net = EstimatorNet.new((3, 6, gen_profile.max_layers), seed=4)
     worst = gradient_check(net, samples[0].input, samples[0].target, n_checks=60, seed=0)
     assert worst <= 1e-4
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 32])
+@pytest.mark.parametrize("rows", [1, 5, 33])
+def test_forward_in_slices_equals_one_forward(rows, size):
+    # rows 5 and 33 leave a one-row last slice at some sizes; it must join the
+    # slice before it, since a one-row head rounds differently
+    net = EstimatorNet.new((3, 4, 7), seed=2)
+    rng = np.random.default_rng(rows)
+    for k, v in net.params.items():
+        if k.endswith(".b"):
+            v[:] = rng.normal(0.0, 0.1, v.shape)
+    x = rng.random((rows, 3, 4, 7))
+    assert np.array_equal(forward_in_slices(net, x, size), net.forward(x))
 
 
 def test_l1_loss():
