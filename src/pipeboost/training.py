@@ -18,13 +18,12 @@ import numpy as np
 
 from .embedding import build_embedding, build_mask, masked_input
 from .errors import DatasetError, MappingError
-from .estimator import EstimatorNet, TargetStats
+from .estimator import _BLOCK_ROWS, EstimatorNet, TargetStats, row_blocks
 from .simulator import (
     Mapping,
     _mapping_from_dict,
     random_mapping_rng,
     simulate,
-    validate_mapping,
 )
 from .workload import DeviceProfile, Workload, _check_keys, _float, _typed
 
@@ -121,15 +120,10 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def forward_in_slices(net: EstimatorNet, x: np.ndarray, size: int) -> np.ndarray:
-    """`net.forward(x)` bit for bit, run on slices of `size` rows (at least 2),
-    so that a validation pass holds no more activations than a training step.
-    A last slice of one row joins the one before it: the head's matmul rounds
-    a one-row batch differently from the same row in a larger batch."""
-    size = max(size, 2)
-    cuts = list(range(size, len(x), size))
-    if cuts and len(x) - cuts[-1] == 1:
-        cuts.pop()
-    return np.concatenate([net.forward(part) for part in np.split(x, cuts)])
+    """`net.forward(x)` bit for bit, run on `row_blocks` of `size` rows.
+    `train` validates in blocks of a training step's rows, so that a
+    validation pass holds no more activations than a step."""
+    return np.concatenate([net.forward(x[part]) for part in row_blocks(len(x), size)])
 
 
 def train(
@@ -158,6 +152,7 @@ def train(
 
     m = {k: np.zeros_like(v) for k, v in net.params.items()}
     v = {k: np.zeros_like(p) for k, p in net.params.items()}
+    buffers = {}
     t = 0
     history: dict[str, list[float]] = {"train_l1": [], "val_l1": []}
 
@@ -169,16 +164,17 @@ def train(
         n_terms = 0
         for start in range(0, config.train_size, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            pred, cache = net.forward_with_cache(x_train[idx])
+            pred, grads = net.l1_gradients(x_train[idx], y_train[idx], buffers)
             diff = pred - y_train[idx]
             abs_sum += float(np.abs(diff).sum())
             n_terms += diff.size
-            grads = net.backward(cache, np.sign(diff) / diff.size)
             t += 1
             for k in EstimatorNet.PARAM_ORDER:
                 g = grads[k]
-                m[k] = config.beta1 * m[k] + (1 - config.beta1) * g
-                v[k] = config.beta2 * v[k] + (1 - config.beta2) * g * g
+                m[k] *= config.beta1
+                m[k] += (1 - config.beta1) * g
+                v[k] *= config.beta2
+                v[k] += (1 - config.beta2) * g * g
                 m_hat = m[k] / (1 - config.beta1**t)
                 v_hat = v[k] / (1 - config.beta2**t)
                 net.params[k] -= (
@@ -186,7 +182,7 @@ def train(
                 )
         history["train_l1"].append(abs_sum / n_terms)
         if config.val_size:
-            pred = forward_in_slices(net, x_val, config.batch_size)
+            pred = forward_in_slices(net, x_val, _BLOCK_ROWS)
             history["val_l1"].append(l1_loss(pred, y_val))
         else:
             history["val_l1"].append(float("nan"))
@@ -205,8 +201,7 @@ def gradient_check(
     seed: int = 0,
 ) -> float:
     """Max relative error between analytic and central-difference gradients."""
-    pred, cache = net.forward_with_cache(x)
-    grads = net.backward(cache, np.sign(pred - y) / pred.size)
+    _, grads = net.l1_gradients(x, y)
 
     index = [
         (name, i) for name in EstimatorNet.PARAM_ORDER
@@ -264,10 +259,10 @@ def load_dataset(path: str | Path, profile: DeviceProfile) -> list[Sample]:
             )
         target = [_float(v, f"{ctx}: target_raw", DatasetError) for v in target]
         try:
-            validate_mapping(mapping, profile, workload)
+            mask = build_mask(workload, mapping, profile)
         except MappingError as exc:
             raise DatasetError(f"{ctx}: {exc}") from None
-        x = masked_input(embedding, build_mask(workload, mapping, profile))
+        x = masked_input(embedding, mask)
         samples.append(
             Sample(
                 input=x,

@@ -9,7 +9,6 @@ from pipeboost.estimator import (
     TargetStats,
     _conv_backward,
     _conv_forward,
-    _conv_param_grads,
     _im2col,
     _pool_backward,
     _pool_forward,
@@ -89,6 +88,38 @@ def test_inference_forward_equals_training_forward(shape, batch):
         assert np.array_equal(net.forward(x[0]), want[0])
 
 
+def conv_backward_padded(dout, cache):
+    """A conv's input, weight and bias gradients, the input gradient through a
+    zero-padded buffer: the reference for `_conv_backward` and the row terms."""
+    (bs, c, h, wd), cols, w = cache
+    o = w.shape[0]
+    dflat = dout.reshape(bs, o, h * wd)
+    dw = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    dcols = np.matmul(w.reshape(o, c * 9).T, dflat).reshape(bs, c, 9, h, wd)
+    dxp = np.zeros((bs, c, h + 2, wd + 2))
+    k = 0
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, :, di : di + h, dj : dj + wd] += dcols[:, :, k]
+            k += 1
+    return dxp[:, :, 1 : h + 1, 1 : wd + 1], dw, dout.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 3, 1, 5), (2, 3, 4, 1), (1, 2, 1, 1), (3, 4, 2, 7), (2, 5, 6, 2), (2, 2, 2, 2)]
+)
+def test_conv_backward_equals_padded_reference(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(3, shape[1], 3, 3))
+    out, cache = _conv_forward(x, w, rng.normal(size=3))
+    dout = rng.normal(size=out.shape)
+    dx = _conv_backward(dout, cache)
+    assert dx.flags.c_contiguous
+    want = conv_backward_padded(dout, cache)[0]
+    assert np.array_equal(dx.view(np.int64), np.ascontiguousarray(want).view(np.int64))
+
+
 def unrolled_forward_backward(net, x, dout):
     """The net's forward pass and gradients with every layer written out, as
     before the layer table: the reference for the table walk."""
@@ -115,21 +146,21 @@ def unrolled_forward_backward(net, x, dout):
     bs, ch, h, w = r2_out.shape
     dr2_out = np.broadcast_to(dg[:, :, None, None], (bs, ch, h, w)) / (h * w)
     ds2 = dr2_out * gelu_grad(s2)
-    dr2b, grads["r2c2.w"], grads["r2c2.b"] = _conv_backward(ds2, c["r2c2"])
+    dr2b, grads["r2c2.w"], grads["r2c2.b"] = conv_backward_padded(ds2, c["r2c2"])
     dr2a = dr2b * gelu_grad(r2a_pre)
-    dc_out, grads["r2c1.w"], grads["r2c1.b"] = _conv_backward(dr2a, c["r2c1"])
+    dc_out, grads["r2c1.w"], grads["r2c1.b"] = conv_backward_padded(dr2a, c["r2c1"])
     dc_out = dc_out + ds2
     dcc = _pool_backward(dc_out, c["pool2"]) * gelu_grad(cc_pre)
-    dr1_out, grads["convC.w"], grads["convC.b"] = _conv_backward(dcc, c["convC"])
+    dr1_out, grads["convC.w"], grads["convC.b"] = conv_backward_padded(dcc, c["convC"])
     ds1 = dr1_out * gelu_grad(s1)
-    dr1b, grads["r1c2.w"], grads["r1c2.b"] = _conv_backward(ds1, c["r1c2"])
+    dr1b, grads["r1c2.w"], grads["r1c2.b"] = conv_backward_padded(ds1, c["r1c2"])
     dr1a = dr1b * gelu_grad(r1a_pre)
-    db_out, grads["r1c1.w"], grads["r1c1.b"] = _conv_backward(dr1a, c["r1c1"])
+    db_out, grads["r1c1.w"], grads["r1c1.b"] = conv_backward_padded(dr1a, c["r1c1"])
     db_out = db_out + ds1
     db_act = _pool_backward(db_out, c["pool1"]) * gelu_grad(b_pre)
-    da, grads["convB.w"], grads["convB.b"] = _conv_backward(db_act, c["convB"])
+    da, grads["convB.w"], grads["convB.b"] = conv_backward_padded(db_act, c["convB"])
     da = da * gelu_grad(a_pre)
-    grads["convA.w"], grads["convA.b"] = _conv_param_grads(da, c["convA"])
+    _, grads["convA.w"], grads["convA.b"] = conv_backward_padded(da, c["convA"])
     return out, grads
 
 
@@ -149,6 +180,34 @@ def test_layer_walk_equals_unrolled_reference(shape, batch):
     for _ in range(2):  # backward leaves the cache as it found it
         grads = net.backward(cache, dout)
         assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert np.array_equal(grads[name], want), name
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 8, 9, 16, 17, 32, 33])
+def test_l1_gradients_equal_one_block(batch):
+    shape = (3, 11, 28)
+    net = EstimatorNet.new(shape, seed=2)
+    rng = np.random.default_rng(20 + batch)
+    for name in EstimatorNet.PARAM_ORDER:
+        if name.endswith(".b"):
+            net.params[name] = rng.normal(0.0, 0.1, net.params[name].shape)
+    x = rng.random((batch,) + shape)
+    y = rng.random((batch, 3))
+    want_out, cache = net.forward_with_cache(x)
+    want_grads = net.backward(cache, np.sign(want_out - y) / want_out.size)
+    buffers = {}  # first sized by a larger batch, then reused for this one
+    net.l1_gradients(rng.random((40,) + shape), rng.random((40, 3)), buffers)
+    for out, grads in (net.l1_gradients(x, y), net.l1_gradients(x, y, buffers)):
+        assert np.array_equal(out, want_out)
+        assert grads.keys() == want_grads.keys() == set(EstimatorNet.PARAM_ORDER)
+        for name, want in want_grads.items():
+            assert np.array_equal(grads[name], want), name
+    if batch == 1:  # an unbatched input, with a target above and below the output
+        y1 = want_out[0] + np.array([-1.0, 1.0, -1.0])
+        out, grads = net.l1_gradients(x[0], y1)
+        want_grads = net.backward(cache, np.sign(want_out - y1) / want_out.size)
+        assert np.array_equal(out, want_out)
         for name, want in want_grads.items():
             assert np.array_equal(grads[name], want), name
 
