@@ -61,6 +61,20 @@ def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
     return vals
 
 
+def _layer_range(text: str) -> tuple[int, int]:
+    """`--layer-range`: two integers min,max with 1 <= min <= max."""
+    try:
+        lo, hi = (int(v) for v in text.split(","))
+        ok = 1 <= lo <= hi
+    except ValueError:  # not two integers
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"--layer-range needs two integers min,max with 1 <= min <= max, got {text!r}"
+        )
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -69,9 +83,8 @@ def cmd_genprofile(args) -> int:
     cfg = GeneratorConfig()
     if args.factors:
         cfg = GeneratorConfig(unit_factors=_floats(args.factors, 3, "--factors"))
-    if args.layer_range:
-        lo, hi = (int(v) for v in args.layer_range.split(","))
-        cfg = GeneratorConfig(unit_factors=cfg.unit_factors, layer_range=(lo, hi))
+    if args.layer_range is not None:
+        cfg = GeneratorConfig(unit_factors=cfg.unit_factors, layer_range=_layer_range(args.layer_range))
     profile = generate_profile(args.models, _seed_of(args), cfg)
     save_profile(profile, args.out)
     print(f"wrote {args.out}: {len(profile.models)} models, "

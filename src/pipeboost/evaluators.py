@@ -5,9 +5,10 @@ Both searchers only need `score(workload, mapping) -> float in [0, 1]`
 the paper, where the net stands in for measuring each mapping on the board.
 The simulator-backed one scores with the analytic pipeline model that also
 labels the estimator's training data: it is exact for that model, and
-faster than the net (one mapping of a 5-model mix on a 2-core x86-64 VM:
-about 70 us to `simulate`, 250-400 us for a batch-1 net forward pass), so
-it serves oracle experiments.
+faster than the net (one mapping of a 5-model mix of an 11-model profile on
+a 2-core x86-64 VM, one BLAS thread: about 30-45 us for
+`SimulatorEvaluator.score`, 320-570 us for `EstimatorEvaluator.score`, most
+of it the batch-1 net forward pass), so it serves oracle experiments.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import gpu_only
-from .embedding import build_embedding, build_mask, masked_input
+from .embedding import build_embedding, mapped_inputs
 from .estimator import EstimatorNet
 from .errors import MappingError
 from .simulator import Mapping, simulate, simulate_batch
@@ -43,12 +44,7 @@ class EstimatorEvaluator:
     def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
         if not mappings:
             return np.zeros(0)
-        xs = np.array(
-            [
-                masked_input(self.embedding, build_mask(workload, m, self.profile))
-                for m in mappings
-            ]
-        )
+        xs = mapped_inputs(self.embedding, workload, mappings, self.profile)
         pred = np.clip(self.net.forward(xs), 0.0, 1.0)
         return pred.mean(axis=1)
 

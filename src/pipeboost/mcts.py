@@ -3,13 +3,22 @@
 The search walks layers left to right, model by model. Each tree edge
 assigns the next layer to one of the compute units, and only units that
 keep the model within the stage limit are offered, so every path ends in a
-complete, valid mapping. A complete state is scored 1 + the evaluator's
-[0,1] scalar. The returned mapping is the best complete state seen anywhere
-during the search.
+complete, valid mapping. A complete mapping is scored 1 + the evaluator's
+[0,1] scalar. The returned mapping is the best one seen anywhere during the
+search.
+
+The search runs on a flat path: a tree node holds only its unit, children,
+untried units and statistics. Each iteration replays its path from the root
+onto one flat list of the mix's layer units, counting the current model's
+stages, and `rollout` continues that list. The tree and the rollout read
+legal units from one table, `legal_units`. `SearchState`, `actions` and
+`apply` are the same rules one move at a time, the reference the tests hold
+the flat path to.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -109,71 +118,56 @@ def apply(state: SearchState, action: int) -> SearchState:
     )
 
 
+def legal_units(num_units: int, stage_limit: int, max_layers: int) -> dict:
+    """The rule of `actions` as a table for the flat path: the units open to
+    a layer by (stages its model has used, previous unit or None)."""
+    return {
+        (used, prev): tuple(u for u in range(num_units) if used + (u != prev) <= stage_limit)
+        for used in range(min(stage_limit, max_layers) + 1)
+        for prev in (None, *range(num_units))
+    }
+
+
 def rollout(
-    state: SearchState, rng: random.Random, config: MctsConfig
-) -> tuple[SearchState, list[int]]:
+    units: list[int], used: int, spans, legal: dict, rng: random.Random, config: MctsConfig
+) -> list[int]:
     """Random legal moves to completion; greedy same-unit fill past max_depth.
 
-    Works on mutable lists and builds one `SearchState` at the end, but must
-    behave exactly like stepping `actions` and `apply` move by move: the same
-    `rng.choice` on the same legal units, so that it draws the same random
-    sequence. Seeded searches return the same mapping only while that holds.
-    The legal units depend only on (stages used, previous unit), so each
-    pair's tuple is built once per rollout.
+    Appends the missing layers to `units`, a mapping's first layers flat in
+    mix order (`spans` are each model's (start, end) there, and `used` the
+    stages so far of the last unit's model), and returns them. It must draw
+    exactly as stepping `actions` and `apply` does: the same `rng.choice` on
+    the same legal units, or seeded searches change.
     """
-    taken: list[int] = []
-    if state.cursor is None:
-        return state, taken
-    counts = state.layer_counts
-    limit = state.stage_limit
-    units = range(state.num_units)
-    legal: dict[tuple[int, int | None], tuple[int, ...]] = {}
-    assignments = [list(a) for a in state.assignments]
-    stage_counts = list(state.stage_counts)
-    m, l = state.cursor
-    while m < len(counts):
-        row = assignments[m]
-        prev = row[-1] if l > 0 else None
-        if len(taken) < config.max_depth:
-            used = stage_counts[m]
-            choices = legal.get((used, prev))
-            if choices is None:
-                choices = legal[used, prev] = tuple(
-                    u for u in units if used + (u != prev) <= limit
-                )
-            a = rng.choice(choices)
-        else:
-            a = 0 if prev is None else prev
-        stage_counts[m] += a != prev
-        row.append(a)
-        taken.append(a)
-        l += 1
-        if l >= counts[m]:
-            m, l = m + 1, 0
-    terminal = replace(
-        state,
-        assignments=tuple(tuple(a) for a in assignments),
-        stage_counts=tuple(stage_counts),
-        cursor=None,
-    )
-    return terminal, taken
+    start, depth = len(units), config.max_depth
+    choice, append = rng.choice, units.append
+    for s, e in spans:
+        if len(units) >= e:
+            continue
+        prev = units[-1] if len(units) > s else None
+        used = 0 if prev is None else used
+        for _ in range(len(units), e):
+            if depth:
+                a = choice(legal[used, prev])
+                depth -= 1
+            else:
+                a = 0 if prev is None else prev
+            used += a != prev
+            append(a)
+            prev = a
+    return units[start:]
 
 
-def evaluate_terminal(state: SearchState, evaluator) -> float:
-    """Reward of a complete state: 1 + the evaluator's score in [0, 1]."""
-    return 1.0 + evaluator.score(state.workload, state.mapping())
+def evaluate_terminal(workload: Workload, mapping: Mapping, evaluator) -> float:
+    """Reward of a complete mapping: 1 + the evaluator's score in [0, 1]."""
+    return 1.0 + evaluator.score(workload, mapping)
 
 
 class _Node:
-    __slots__ = ("state", "parent", "children", "untried", "visits", "value")
+    __slots__ = ("unit", "children", "untried", "visits", "value")
 
-    def __init__(self, state: SearchState, parent: "_Node | None" = None):
-        self.state = state
-        self.parent = parent
-        self.children: list[_Node] = []
-        self.untried = actions(state) if state.cursor is not None else []
-        self.visits = 0
-        self.value = 0.0
+    def __init__(self, unit: int | None, untried: list[int]):
+        self.unit, self.untried, self.children, self.visits, self.value = unit, untried, [], 0, 0.0
 
 
 def _select_child(node: _Node) -> _Node:
@@ -187,41 +181,46 @@ def _select_child(node: _Node) -> _Node:
 
 
 def schedule(
-    workload: Workload,
-    profile: DeviceProfile,
-    evaluator,
-    config: MctsConfig | None = None,
+    workload: Workload, profile: DeviceProfile, evaluator, config: MctsConfig | None = None
 ) -> tuple[Mapping, dict]:
     """Run the budgeted search and return the best complete mapping found."""
     config = config or MctsConfig()
     if len(workload) == 0:
         raise ValueError("cannot schedule an empty workload")
+    workload.validate_for(profile)
+    counts = [profile.models[i].num_layers for i in workload.model_indices]
+    ends = list(itertools.accumulate(counts))
+    spans = list(zip([0] + ends, ends))
+    starts = {s for s, _ in spans}
+    legal = legal_units(profile.num_units, config.stage_limit, max(counts))
     rng = random.Random(config.seed)
-    root = _Node(initial_state(workload, profile, config))
-    best_reward = -math.inf
-    best_mapping: Mapping | None = None
+    root = _Node(None, list(legal[0, None]))
+    best_reward, best_mapping = -math.inf, None
     t0 = time.perf_counter()
 
     for _ in range(config.budget):
-        node = root
-        while node.state.cursor is not None and not node.untried:
+        node, path = root, [root]
+        while node.children and not node.untried:
             node = _select_child(node)
+            path.append(node)
         if node.untried:
-            child = _Node(apply(node.state, node.untried.pop(0)), parent=node)
-            node.children.append(child)
-            node = child
-        terminal, _ = rollout(node.state, rng, config)
-        reward = evaluate_terminal(terminal, evaluator)
+            node.children.append(_Node(node.untried.pop(0), []))
+            path.append(node.children[-1])
+        units, key = [], (0, None)  # key: (stages used, previous unit) of the next layer
+        for n in path[1:]:
+            units.append(n.unit)
+            used = key[0] + (n.unit != key[1])
+            key = (0, None) if len(units) in starts else (used, n.unit)
+        if node is not path[-1] and len(units) < ends[-1]:  # a new node's untried units
+            path[-1].untried = list(legal[key])
+        rollout(units, key[0], spans, legal, rng, config)
+        mapping = Mapping(tuple(tuple(units[s:e]) for s, e in spans))
+        reward = evaluate_terminal(workload, mapping, evaluator)
         if reward > best_reward:
-            best_reward, best_mapping = reward, terminal.mapping()
-        while node is not None:
-            node.visits += 1
-            node.value += reward
-            node = node.parent
+            best_reward, best_mapping = reward, mapping
+        for n in path:
+            n.visits += 1
+            n.value += reward
 
-    stats = {
-        "iterations": config.budget,
-        "best_reward": best_reward,
-        "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
-    }
-    return best_mapping, stats
+    ms = (time.perf_counter() - t0) * 1000.0
+    return best_mapping, {"iterations": config.budget, "best_reward": best_reward, "elapsed_ms": ms}

@@ -105,9 +105,9 @@ def validate_mapping(
                 f"model {model.name!r}: {len(assignment)} assignments "
                 f"for {model.num_layers} layers"
             )
-        for unit in assignment:
-            if not 0 <= unit < profile.num_units:
-                raise MappingError(f"unit id {unit} out of range")
+        if assignment and not 0 <= min(assignment) <= max(assignment) < profile.num_units:
+            bad = next(u for u in assignment if not 0 <= u < profile.num_units)
+            raise MappingError(f"unit id {bad} out of range")
 
 
 def stage_bounds(assignment: tuple[int, ...] | list[int]) -> list[tuple[int, int, int]]:
@@ -152,31 +152,29 @@ def simulate(
     """Score a mapping; deterministic and pure. See the module docstring."""
     if len(workload) == 0:
         raise ValueError("cannot simulate an empty workload")
-    per_model_stages = stages_of(mapping, profile, workload)
+    validate_mapping(mapping, profile, workload)
 
-    # steps 1-2: effective stage times and standalone bottleneck rates
-    eff_times = []
-    rates = []
-    for stages in per_model_stages:
-        times = [
-            s.cost_ms + (profile.transfer_ms if i > 0 else 0.0)
-            for i, s in enumerate(stages)
-        ]
-        eff_times.append(times)
-        rates.append(1000.0 / max(times))
-
-    # step 3: raw per-unit load
+    # steps 1-3: effective stage times, standalone bottleneck rates, raw unit load
     raw_load = [0.0] * profile.num_units
-    for stages, times, r in zip(per_model_stages, eff_times, rates):
-        for s, e in zip(stages, times):
-            raw_load[s.unit] += r * e / 1000.0
+    rates, units_used = [], []
+    for pos, model_idx in enumerate(workload.model_indices):
+        costs = profile.layer_costs[model_idx]
+        stages = [
+            (u, sum(costs[u][s:e]) + (profile.transfer_ms if s > 0 else 0.0))
+            for s, e, u in stage_bounds(mapping.assignments[pos])
+        ]
+        r = 1000.0 / max(e for _, e in stages)
+        for u, e in stages:
+            raw_load[u] += r * e / 1000.0
+        rates.append(r)
+        units_used.append({u for u, _ in stages})
 
     # steps 4-7
     theta = min(1.0, 1.0 / max(raw_load))
     x = [theta * r for r in rates]
     y = [0.0] * profile.num_units
-    for stages, xm in zip(per_model_stages, x):
-        for unit in {s.unit for s in stages}:
+    for units, xm in zip(units_used, x):
+        for unit in units:
             y[unit] += xm
     return ThroughputReport(
         per_dnn_inf_s=tuple(x),

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import build_embedding, build_mask, masked_input
+from .embedding import build_embedding, mapped_inputs
 from .errors import DatasetError, MappingError
 from .estimator import _BLOCK_ROWS, EstimatorNet, TargetStats, row_blocks
 from .simulator import (
@@ -67,6 +67,8 @@ def generate_dataset(
     Each sample draws from its own string-derived rng, so samples are
     independent of one another and of `count`.
     """
+    if count < 1:
+        raise ValueError(f"dataset count must be >= 1, got {count}")
     lo, hi = mix_range
     if not 1 <= lo <= hi:
         raise ValueError(f"bad mix range ({lo}, {hi})")
@@ -82,7 +84,7 @@ def generate_dataset(
         workload = Workload(tuple(rng.sample(range(len(profile.models)), size)))
         mapping = random_mapping_rng(workload, profile, profile.num_units, rng)
         report = simulate(workload, mapping, profile)
-        x = masked_input(embedding, build_mask(workload, mapping, profile))
+        x = mapped_inputs(embedding, workload, [mapping], profile)[0]
         samples.append(
             Sample(
                 input=x,
@@ -259,10 +261,9 @@ def load_dataset(path: str | Path, profile: DeviceProfile) -> list[Sample]:
             )
         target = [_float(v, f"{ctx}: target_raw", DatasetError) for v in target]
         try:
-            mask = build_mask(workload, mapping, profile)
+            x = mapped_inputs(embedding, workload, [mapping], profile)[0]
         except MappingError as exc:
             raise DatasetError(f"{ctx}: {exc}") from None
-        x = masked_input(embedding, mask)
         samples.append(
             Sample(
                 input=x,

@@ -57,6 +57,34 @@ def test_genprofile_with_non_finite_kernel_times_is_a_clean_error(capsys, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["5,2", "3", "0,4", "-2,3", "1,2,3", "a,b", ""])
+def test_genprofile_with_a_bad_layer_range_is_a_clean_error(capsys, tmp_path, text):
+    out = tmp_path / "p.json"
+    code, _, err = run(capsys, "genprofile", f"--layer-range={text}", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: --layer-range")
+    assert not out.exists()
+
+
+def test_genprofile_layer_range_bounds_every_model(capsys, tmp_path):
+    out = tmp_path / "p.json"
+    code, _, _ = run(capsys, "genprofile", "--layer-range", "2,2", "--out", str(out))
+    assert code == 0
+    assert {m.num_layers for m in pipeboost.load_profile(out).models} == {2}
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_dataset_count_below_one_is_a_clean_error(capsys, tmp_path, count):
+    prof, out = tmp_path / "p.json", tmp_path / "d.json"
+    assert run(capsys, "genprofile", "--models", "5", "--out", str(prof))[0] == 0
+    code, _, err = run(
+        capsys, "dataset", "--profile", str(prof), "--count", count, "--out", str(out)
+    )
+    assert code == 1
+    assert err.startswith("error:") and "count" in err
+    assert not out.exists()
+
+
 def test_missing_file_is_a_clean_error(capsys, tmp_path):
     code, _, err = run(
         capsys, "simulate", "--profile", str(tmp_path / "nope.json"),

@@ -1,9 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
-from pipeboost.embedding import build_embedding, build_mask, masked_input
-from pipeboost.simulator import Mapping
-from pipeboost.workload import Workload, layer_cost
+from pipeboost.embedding import build_embedding, build_mask, mapped_inputs, masked_input
+from pipeboost.errors import MappingError
+from pipeboost.simulator import Mapping, random_mapping_rng
+from pipeboost.workload import Workload, generate_profile, layer_cost
 
 
 def test_embedding_shape_and_normalization(tiny_profile):
@@ -74,3 +77,27 @@ def test_masked_input_shape_mismatch(tiny_profile, gen_profile):
     )
     with pytest.raises(ValueError):
         masked_input(emb, other)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mapped_inputs_equal_masked_inputs(seed):
+    rng = random.Random(seed)
+    profile = generate_profile(6, seed=seed)
+    emb = build_embedding(profile)
+    for _ in range(10):
+        wl = Workload(tuple(rng.sample(range(6), rng.randint(1, 5))))
+        maps = [random_mapping_rng(wl, profile, rng.randint(1, 4), rng) for _ in range(rng.randint(1, 4))]
+        want = np.array([masked_input(emb, build_mask(wl, m, profile)) for m in maps])
+        got = mapped_inputs(emb, wl, maps, profile)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_mapped_inputs_keep_the_mask_checks(tiny_profile, gen_profile):
+    wl = Workload((0, 1))
+    emb = build_embedding(tiny_profile)
+    good = Mapping(((0, 1, 2), (1, 1)))
+    for bad in (Mapping(((0, 1, 3), (1, 1))), Mapping(((0, 1), (1, 1))), Mapping(((0, 1, 2),))):
+        with pytest.raises(MappingError):
+            mapped_inputs(emb, wl, [good, bad], tiny_profile)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mapped_inputs(build_embedding(gen_profile), wl, [good], tiny_profile)

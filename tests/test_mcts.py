@@ -1,22 +1,29 @@
 """Search-state machine and the budgeted tree search."""
 
+import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipeboost.evaluators import SimulatorEvaluator
+from pipeboost.errors import MappingError
+from pipeboost.estimator import EstimatorNet, TargetStats
+from pipeboost.evaluators import EstimatorEvaluator, SimulatorEvaluator
 from pipeboost.mcts import (
+    UCT_C,
     MctsConfig,
     actions,
     apply,
     evaluate_terminal,
     initial_state,
+    legal_units,
     rollout,
     schedule,
 )
 from pipeboost.simulator import (
+    Mapping,
     exhaustive_best,
     random_mapping_rng,
     simulate,
@@ -93,28 +100,42 @@ def test_apply_rejects_units_outside_actions(tiny_profile):
     assert [apply(fresh, u).stage_counts for u in actions(fresh)] == [(2, 1)] * 3
 
 
+def flat_rollout(state, rng, config):
+    """`rollout` from `state`, given as the flat path `schedule` builds: its
+    units in mix order and the stages of the last unit's model. Returns the
+    complete mapping and the moves taken."""
+    ends = list(itertools.accumulate(state.layer_counts))
+    spans = list(zip([0] + ends, ends))
+    units = [u for a in state.assignments for u in a]
+    used = next((c for a, c in zip(state.assignments[::-1], state.stage_counts[::-1]) if a), 0)
+    legal = legal_units(state.num_units, state.stage_limit, max(state.layer_counts))
+    taken = rollout(units, used, spans, legal, rng, config)
+    return Mapping(tuple(tuple(units[s:e]) for s, e in spans)), taken
+
+
 def test_rollout_reaches_terminal_and_is_seeded(tiny_profile):
     s = initial_state(Workload((0, 1)), tiny_profile, CFG)
-    t1, moves1 = rollout(s, random.Random(3), CFG)
-    t2, moves2 = rollout(s, random.Random(3), CFG)
-    assert moves1 == moves2
-    validate_mapping(t1.mapping(), tiny_profile, Workload((0, 1)))
+    t1, moves1 = flat_rollout(s, random.Random(3), CFG)
+    t2, moves2 = flat_rollout(s, random.Random(3), CFG)
+    assert moves1 == moves2 and t1 == t2
+    assert [u for a in t1.assignments for u in a] == moves1
+    validate_mapping(t1, tiny_profile, Workload((0, 1)))
 
 
 def test_rollout_only_takes_legal_actions(tiny_profile):
     rng = random.Random(9)
     s = initial_state(Workload((0, 1)), tiny_profile, CFG)
     for _ in range(200):
-        t, _ = rollout(s, rng, CFG)
-        assert t.cursor is None
-        assert all(c <= CFG.stage_limit for c in t.stage_counts)
+        t, _ = flat_rollout(s, rng, CFG)
+        validate_mapping(t, tiny_profile, Workload((0, 1)))
+        assert all(stage_count(a) <= CFG.stage_limit for a in t.assignments)
 
 
 def test_rollout_depth_cap_finishes_greedily(tiny_profile):
     cfg = MctsConfig(budget=1, max_depth=2, seed=0)
     s = initial_state(Workload((0, 1)), tiny_profile, cfg)
-    t, moves = rollout(s, random.Random(0), cfg)
-    assert t.cursor is None
+    t, moves = flat_rollout(s, random.Random(0), cfg)
+    assert len(moves) == 5
     # past the cap each layer repeats the previous unit: no new stages
     for a in t.assignments:
         assert stage_count(a) <= 2
@@ -134,6 +155,110 @@ def rollout_by_steps(state, rng, config):
         s = apply(s, a)
         taken.append(a)
     return s, taken
+
+
+class _StateNode:
+    __slots__ = ("state", "parent", "children", "untried", "visits", "value")
+
+    def __init__(self, state, parent=None):
+        self.state = state
+        self.parent = parent
+        self.children = []
+        self.untried = actions(state) if state.cursor is not None else []
+        self.visits = 0
+        self.value = 0.0
+
+
+def _uct_child(node):
+    best, best_score = None, -math.inf
+    log_n = math.log(node.visits)
+    for child in node.children:
+        score = child.value / child.visits + UCT_C * math.sqrt(log_n / child.visits)
+        if score > best_score:
+            best, best_score = child, score
+    return best
+
+
+def schedule_by_states(workload, profile, evaluator, config):
+    """The search with one `SearchState` per tree node, `apply` per expansion
+    and `rollout_by_steps` per iteration: the reference for `schedule`."""
+    rng = random.Random(config.seed)
+    root = _StateNode(initial_state(workload, profile, config))
+    best_reward, best_mapping = -math.inf, None
+    for _ in range(config.budget):
+        node = root
+        while node.state.cursor is not None and not node.untried:
+            node = _uct_child(node)
+        if node.untried:
+            child = _StateNode(apply(node.state, node.untried.pop(0)), parent=node)
+            node.children.append(child)
+            node = child
+        terminal, _ = rollout_by_steps(node.state, rng, config)
+        reward = 1.0 + evaluator.score(workload, terminal.mapping())
+        if reward > best_reward:
+            best_reward, best_mapping = reward, terminal.mapping()
+        while node is not None:
+            node.visits += 1
+            node.value += reward
+            node = node.parent
+    return best_mapping, {"iterations": config.budget, "best_reward": best_reward}
+
+
+class ConstantEvaluator:
+    """Every mapping scores 0.5, so every reward ties and UCT's first-max
+    rule alone picks the path."""
+
+    def score(self, workload, mapping):
+        return 0.5
+
+
+class Recorder:
+    """An evaluator that keeps every mapping it scores, in order: the search's
+    whole trace of terminal mappings, which shows a changed path even when
+    the best mapping stays the same."""
+
+    def __init__(self, inner):
+        self.inner, self.scored = inner, []
+
+    def score(self, workload, mapping):
+        self.scored.append(mapping)
+        return self.inner.score(workload, mapping)
+
+
+def _evaluator(kind, profile):
+    if kind == "simulator":
+        return Recorder(SimulatorEvaluator(profile))
+    if kind == "constant":
+        return Recorder(ConstantEvaluator())
+    # a small random net whose head bias keeps its outputs off the clip bounds
+    net = EstimatorNet.new((profile.num_units, len(profile.models), profile.max_layers), seed=1)
+    net.params["fc.b"][:] = 0.5
+    net.target_stats = TargetStats.from_floats([0.0] * 12)
+    return Recorder(EstimatorEvaluator(net, profile))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.lists(st.integers(0, 5), min_size=1, max_size=5, unique=True),
+    st.integers(1, 400),
+    st.integers(1, 100),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["simulator", "estimator", "constant"]),
+)
+def test_schedule_equals_state_by_state_reference(
+    profile_seed, mix, budget, max_depth, stage_limit, seed, kind
+):
+    profile = generate_profile(6, seed=profile_seed)
+    wl = Workload(tuple(mix))
+    cfg = MctsConfig(budget=budget, max_depth=max_depth, stage_limit=stage_limit, seed=seed)
+    got_ev, want_ev = _evaluator(kind, profile), _evaluator(kind, profile)
+    got_mapping, got = schedule(wl, profile, got_ev, cfg)
+    want_mapping, want = schedule_by_states(wl, profile, want_ev, cfg)
+    assert got_mapping == want_mapping
+    assert (got["best_reward"], got["iterations"]) == (want["best_reward"], want["iterations"])
+    assert got_ev.scored == want_ev.scored  # the same rollout on every iteration
 
 
 @pytest.mark.parametrize(
@@ -158,19 +283,36 @@ def test_rollout_equals_step_by_step_reference(gen_profile, cfg):
                 break
             s = nxt
         rng_new, rng_ref = random.Random(trial), random.Random(trial)
-        got = rollout(s, rng_new, cfg)
-        want = rollout_by_steps(s, rng_ref, cfg)
-        assert got == want
+        got_mapping, got_moves = flat_rollout(s, rng_new, cfg)
+        want, want_moves = rollout_by_steps(s, rng_ref, cfg)
+        assert (got_mapping, got_moves) == (want.mapping(), want_moves)
         assert rng_new.getstate() == rng_ref.getstate()  # same draws, same count
+
+
+def test_legal_units_table_is_the_rule_of_actions(tiny_profile):
+    for limit in (1, 2, 3, 5):
+        cfg = MctsConfig(stage_limit=limit)
+        legal = legal_units(tiny_profile.num_units, limit, 3)
+        s = initial_state(Workload((0,)), tiny_profile, cfg)
+        assert list(legal[0, None]) == actions(s)
+        for moves in itertools.product(range(3), repeat=2):
+            t = s
+            for a in moves:
+                if a not in actions(t):
+                    break
+                t = apply(t, a)
+                if t.cursor is not None:
+                    assert list(legal[t.stage_counts[0], a]) == actions(t)
 
 
 def test_evaluate_terminal(tiny_profile):
     ev = SimulatorEvaluator(tiny_profile)
     done = walk(initial_state(Workload((0,)), tiny_profile, CFG), [0, 0, 0])
-    assert evaluate_terminal(done, ev) == 1.0 + ev.score(done.workload, done.mapping())
-    in_prog = initial_state(Workload((0,)), tiny_profile, CFG)
-    with pytest.raises(ValueError):
-        evaluate_terminal(in_prog, ev)
+    assert evaluate_terminal(done.workload, done.mapping(), ev) == 1.0 + ev.score(
+        done.workload, done.mapping()
+    )
+    with pytest.raises(MappingError):  # an incomplete mapping is refused
+        evaluate_terminal(done.workload, Mapping(((0, 0),)), ev)
 
 
 # ------------------------------------------------------------- end to end

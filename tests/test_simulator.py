@@ -157,6 +157,75 @@ def test_validate_mapping_errors(tiny_profile):
         validate_mapping(Mapping(((0, 0, 3), (2, 2))), tiny_profile, wl)  # unit range
 
 
+@pytest.mark.parametrize(
+    "second, bad",
+    [((2, 3), 3), ((-1, 0), -1), ((1, -2), -2), ((3, -1), 3), ((-4, 5), -4)],
+)
+def test_validate_mapping_names_the_first_bad_unit(tiny_profile, second, bad):
+    # the second model's units are checked after the first model's are found good
+    wl = Workload((0, 1))
+    with pytest.raises(MappingError, match=rf"^unit id {bad} out of range$"):
+        validate_mapping(Mapping(((0, 1, 2), second)), tiny_profile, wl)
+
+
+# ------------------------------------------------------- Stage reference
+
+def simulate_by_stages(workload, mapping, profile):
+    """`simulate` as it ran on `stages_of`'s `Stage` objects: the reference
+    for the one-pass `simulate`, which must return an equal report."""
+    per_model_stages = stages_of(mapping, profile, workload)
+    eff_times = []
+    rates = []
+    for stages in per_model_stages:
+        times = [
+            s.cost_ms + (profile.transfer_ms if i > 0 else 0.0)
+            for i, s in enumerate(stages)
+        ]
+        eff_times.append(times)
+        rates.append(1000.0 / max(times))
+    raw_load = [0.0] * profile.num_units
+    for stages, times, r in zip(per_model_stages, eff_times, rates):
+        for s, e in zip(stages, times):
+            raw_load[s.unit] += r * e / 1000.0
+    theta = min(1.0, 1.0 / max(raw_load))
+    x = [theta * r for r in rates]
+    y = [0.0] * profile.num_units
+    for stages, xm in zip(per_model_stages, x):
+        for unit in {s.unit for s in stages}:
+            y[unit] += xm
+    return pb.ThroughputReport(
+        per_dnn_inf_s=tuple(x),
+        per_unit_inf_s=tuple(y),
+        avg_throughput=sum(x) / len(x),
+        unit_utilization=tuple(theta * l for l in raw_load),
+        theta=theta,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1, 1), (1, 3), (5, 30)]),
+    st.integers(1, 5),
+    st.sampled_from([1, 2, 3, None]),
+    st.randoms(use_true_random=False),
+)
+def test_simulate_equals_stage_reference(seed, layer_range, size, limit, rng):
+    # exact equality of whole reports, 1-layer models included
+    cfg = pb.GeneratorConfig(layer_range=layer_range)
+    profile = pb.generate_profile(5, seed=seed, config=cfg)
+    wl = Workload(tuple(rng.sample(range(5), size)))
+    for _ in range(5):
+        if limit is None:  # an independent unit per layer
+            mapping = Mapping(tuple(
+                tuple(rng.randrange(profile.num_units) for _ in range(profile.models[i].num_layers))
+                for i in wl.model_indices
+            ))
+        else:
+            mapping = random_mapping_rng(wl, profile, limit, rng)
+        assert simulate(wl, mapping, profile) == simulate_by_stages(wl, mapping, profile)
+
+
 # ------------------------------------------------------------ batch path
 
 @settings(max_examples=40, deadline=None)
