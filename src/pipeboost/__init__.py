@@ -9,7 +9,7 @@ from .baselines import (
     mosaic_schedule,
     random_best,
 )
-from .embedding import build_embedding, build_mask, masked_input
+from .embedding import build_embedding
 from .errors import DatasetError, MappingError, ProfileError, SearchSpaceError
 from .estimator import (
     EstimatorNet,
@@ -18,7 +18,7 @@ from .estimator import (
     save_weights,
 )
 from .evaluators import EstimatorEvaluator, SimulatorEvaluator
-from .mcts import MctsConfig, SearchState
+from .mcts import MctsConfig
 from .mcts import schedule as mcts_schedule
 from .simulator import (
     Mapping,

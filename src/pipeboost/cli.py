@@ -7,7 +7,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -41,13 +40,6 @@ from .workload import (
 )
 
 METHODS = ("gpu", "random-best", "mosaic", "ga", "mcts")
-
-
-def _seed_of(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PIPEBOOST_SEED")
-    return int(env) if env else 0
 
 
 def _derived_seed(base: int, *parts) -> int:
@@ -85,7 +77,7 @@ def cmd_genprofile(args) -> int:
         cfg = GeneratorConfig(unit_factors=_floats(args.factors, 3, "--factors"))
     if args.layer_range is not None:
         cfg = GeneratorConfig(unit_factors=cfg.unit_factors, layer_range=_layer_range(args.layer_range))
-    profile = generate_profile(args.models, _seed_of(args), cfg)
+    profile = generate_profile(args.models, args.seed, cfg)
     save_profile(profile, args.out)
     print(f"wrote {args.out}: {len(profile.models)} models, "
           f"{profile.num_units} units, max {profile.max_layers} layers")
@@ -96,7 +88,7 @@ def cmd_dataset(args) -> int:
     profile = load_profile(args.profile)
     samples = generate_dataset(
         profile, count=args.count, mix_range=(args.mix_min, args.mix_max),
-        seed=_seed_of(args),
+        seed=args.seed,
     )
     save_dataset(samples, profile, args.out)
     print(f"wrote {args.out}: {len(samples)} samples")
@@ -108,7 +100,7 @@ def cmd_train(args) -> int:
     samples = load_dataset(args.dataset, profile)
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
-        seed=_seed_of(args), train_size=args.train_size, val_size=args.val_size,
+        seed=args.seed, train_size=args.train_size, val_size=args.val_size,
     )
     stats, samples = preprocess_targets(samples, config.train_size)
     shape = (profile.num_units, len(profile.models), profile.max_layers)
@@ -137,7 +129,7 @@ def cmd_schedule(args) -> int:
     evaluator = _make_evaluator(args, profile)
     config = mcts.MctsConfig(
         budget=args.budget, max_depth=args.depth, stage_limit=args.stage_limit,
-        seed=_seed_of(args),
+        seed=args.seed,
     )
     mapping, stats = mcts.schedule(workload, profile, evaluator, config)
     save_mapping(mapping, profile, workload, args.out)
@@ -198,7 +190,6 @@ def _run_method(method, workload, profile, evaluator, linreg, args, seed):
 
 def cmd_compare(args, parser: argparse.ArgumentParser) -> int:
     profile = load_profile(args.profile)
-    base_seed = _seed_of(args)
 
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
@@ -209,7 +200,7 @@ def cmd_compare(args, parser: argparse.ArgumentParser) -> int:
     for spec_text in args.mix or []:
         mixes.append(workload_from_names(profile, spec_text.split(",")))
     if args.random_mixes:
-        rng = random.Random(f"mixes:{base_seed}")
+        rng = random.Random(f"mixes:{args.seed}")
         for _ in range(args.random_mixes):
             mixes.append(
                 Workload(tuple(rng.sample(range(len(profile.models)), args.mix_size)))
@@ -227,7 +218,7 @@ def cmd_compare(args, parser: argparse.ArgumentParser) -> int:
             workload, baselines.gpu_only(workload, profile), profile
         ).avg_throughput
         for method in methods:
-            seed = _derived_seed(base_seed, mix_id, method)
+            seed = _derived_seed(args.seed, mix_id, method)
             mapping, elapsed_ms = _run_method(
                 method, workload, profile, evaluator, linreg, args, seed
             )
@@ -277,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="rng seed (default: $PIPEBOOST_SEED or 0)")
+        p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
 
     p = sub.add_parser("genprofile", help="generate a synthetic device profile")
     p.add_argument("--models", type=int, default=11)

@@ -1,11 +1,12 @@
-"""Normalized cost tensors and boolean mapping masks.
+"""Normalized cost tensors and the net inputs of mappings.
 
 The embedding tensor stacks one slice per compute unit; each slice is a
 (models x max_layers) matrix of per-layer execution times divided by the
 single largest layer cost anywhere in the profile, zero-padded on the
 right for models with fewer layers. A mapping is presented to the
-estimator by elementwise-multiplying the embedding with a boolean mask
-that is one-hot over the unit axis for every (model-in-mix, layer) cell.
+estimator as the embedding masked by the mapping: each (model-in-mix,
+layer) cell keeps its value on the one unit that runs it, and every other
+cell is 0.0.
 """
 
 from __future__ import annotations
@@ -33,30 +34,6 @@ def build_embedding(profile: DeviceProfile) -> np.ndarray:
     return _freeze(data)
 
 
-def build_mask(
-    workload: Workload, mapping: Mapping, profile: DeviceProfile
-) -> np.ndarray:
-    """Read-only boolean tensor with the same dims as the embedding."""
-    validate_mapping(mapping, profile, workload)
-    data = np.zeros(
-        (profile.num_units, len(profile.models), profile.max_layers), dtype=bool
-    )
-    for pos, model_idx in enumerate(workload.model_indices):
-        for l, unit in enumerate(mapping.assignments[pos]):
-            data[unit, model_idx, l] = True
-    return _freeze(data)
-
-
-def masked_input(embedding: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    _check_shape(embedding, mask.shape)
-    return _freeze(embedding * mask)
-
-
-def _check_shape(embedding: np.ndarray, mask_shape: tuple[int, ...]) -> None:
-    if embedding.shape != mask_shape:
-        raise ValueError(f"shape mismatch: embedding {embedding.shape}, mask {mask_shape}")
-
-
 @functools.lru_cache(maxsize=256)
 def _cells(model_indices: tuple[int, ...], counts: tuple[int, ...], width: int) -> np.ndarray:
     """Offsets model * width + layer of a mix's layers, flat in mix order."""
@@ -69,14 +46,14 @@ def mapped_inputs(
     mappings: list[Mapping],
     profile: DeviceProfile,
 ) -> np.ndarray:
-    """`masked_input(embedding, build_mask(workload, m, profile))` of each
-    mapping, stacked, after the same checks, but built by one gather: each
-    mapping's (unit, model, layer) cells are copied from the embedding, and
-    every other cell stays 0.0, as the mask's False leaves it of a
-    non-negative embedding."""
+    """The net inputs of `mappings` of one mix, stacked and read-only: each
+    mapping's (unit, model, layer) cells are copied from the embedding by one
+    gather, and every other cell is 0.0."""
     for mapping in mappings:
         validate_mapping(mapping, profile, workload)
-    _check_shape(embedding, (profile.num_units, len(profile.models), profile.max_layers))
+    want = (profile.num_units, len(profile.models), profile.max_layers)
+    if embedding.shape != want:
+        raise ValueError(f"shape mismatch: embedding {embedding.shape}, profile {want}")
     counts = tuple(profile.models[i].num_layers for i in workload.model_indices)
     units = np.array(
         [[u for a in m.assignments for u in a] for m in mappings], dtype=np.intp
@@ -84,4 +61,4 @@ def mapped_inputs(
     cells = units * embedding[0].size + _cells(workload.model_indices, counts, embedding.shape[2])
     out = np.zeros((len(mappings), embedding.size))
     out[np.arange(len(mappings))[:, None], cells] = embedding.reshape(-1)[cells]
-    return out.reshape(len(mappings), *embedding.shape)
+    return _freeze(out.reshape(len(mappings), *embedding.shape))

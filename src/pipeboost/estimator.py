@@ -7,18 +7,14 @@ activation. Pools are skipped when a spatial dim is < 2 so tiny test
 tensors survive the stack. Everything runs in float64 with hand-written
 backward passes; there is no autodiff here.
 
-The net is written once, as the layer table `_LAYERS`, and one walk runs it.
-`EstimatorNet.forward`, the inference path the search calls once per
-mapping, walks it keeping nothing; `forward_with_cache` walks it keeping
-what training's `backward` needs, and `backward` walks the table in reverse.
-Both forward calls run the same float operations in the same order, so a
-net scores a mapping bit for bit the same in search as in training.
-
-A training step (`l1_gradients`) runs both walks on blocks of a few rows
-and keeps each row's share of every gradient; the sums over the batch run
-once, over all rows, as `backward` runs them on one block. Every layer but
-the head is exact row by row, so the step gives `backward`'s gradients bit
-for bit while its columns and activations stay small.
+The net is written once, as the layer table `_LAYERS`, and one walk runs it:
+`EstimatorNet.forward` keeps nothing, and the training step `l1_gradients`
+keeps what its reverse walk over the table needs. Both walk a batch in row
+blocks of `_BLOCK_ROWS` (`row_blocks`), so columns and activations stay
+small. Every layer but the head is exact row by row, and no block of a
+larger batch has one row, which the head rounds differently; so `forward`
+gives one walk's output bit for bit, and `l1_gradients`, which runs the sums
+over the batch once, over all rows, gives one block's gradients bit for bit.
 
 Total trainable parameters: 224 + 1,168 + 4,640 + 3,480 + 10,416 + 75
 = 20,003, asserted at construction.
@@ -27,7 +23,7 @@ Total trainable parameters: 224 + 1,168 + 4,640 + 3,480 + 10,416 + 75
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
@@ -88,7 +84,7 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 # Columns come from one strided copy, not nine slice copies: a (B, C, 3, 3,
 # H, W) window view of the private padded buffer, reshaped, so they never
-# alias `x` (`backward` caches them).
+# alias `x` (the training step caches them).
 
 def _im2col(x: np.ndarray) -> np.ndarray:
     b, c, h, w = x.shape
@@ -211,10 +207,6 @@ class TargetStats:
         t = np.where(span > 0, (z - self.mn) / np.where(span > 0, span, 1.0), 0.0)
         return np.clip(t, 0.0, 1.0)
 
-    def inverse(self, t: np.ndarray) -> np.ndarray:
-        z = t * (self.mx - self.mn) + self.mn
-        return z * self.std + self.mean
-
     def to_floats(self) -> list[float]:
         return [float(v) for arr in (self.mean, self.std, self.mn, self.mx) for v in arr]
 
@@ -261,7 +253,7 @@ _LAYERS = (
 )
 _CONVS = tuple(op for op in _LAYERS if op + ".w" in _SHAPES)
 
-# Rows per block of a training step (`EstimatorNet.l1_gradients`). Five
+# Rows per block of `EstimatorNet.forward` and `l1_gradients`. Five
 # 2-epoch `train` commands in one process, batch 32, (3, 11, 28) inputs, one
 # BLAS thread: peak RSS 60 MB with 4 rows, 67 MB with 8, 76 MB with 16 and
 # 91 MB with one 32-row block; 8 rows ran fastest (about 0.46 s per epoch,
@@ -341,26 +333,24 @@ class EstimatorNet:
             cache.append((x.shape, g))
         return g @ p["fc.w"].T + p["fc.b"]
 
-    def forward_with_cache(self, x: np.ndarray):
-        """A batch's `forward` output and the cache that `backward` reads."""
-        cache = []
-        return self._walk(self._check(x), cache), cache
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Inference: `forward_with_cache(x)[0]`, bit for bit, with no caches.
+        """Inference: one walk, in row blocks past `_BLOCK_ROWS` rows.
 
         A single (C, H, W) input gives a (3,) output; a batch gives (B, 3).
         """
         single = np.asarray(x).ndim == 3
-        out = self._walk(self._check(x), None)
+        x = self._check(x)
+        if len(x) > _BLOCK_ROWS:
+            out = np.concatenate([self._walk(x[b], None) for b in row_blocks(len(x), _BLOCK_ROWS)])
+        else:
+            out = self._walk(x, None)
         return out[0] if single else out
 
     def l1_gradients(self, x: np.ndarray, y: np.ndarray, buffers: dict | None = None):
         """A batch's `forward` output and every parameter's gradient of the
-        mean L1 loss to `y`: bit for bit `backward(cache, sign(out - y) /
-        out.size)` after `forward_with_cache(x)`, run on row blocks of
-        `_BLOCK_ROWS` so that the columns and activations kept for the
-        backward pass stay small. Only the batch reductions see every row.
+        mean L1 loss to `y`, with `dout = sign(out - y) / out.size` at the
+        head. Each row block is walked with a cache and back again; only the
+        batch reductions see every row.
 
         `buffers` is a dict that a training loop keeps across steps: the
         full-batch arrays of per-row terms live there and are reused, where
@@ -371,7 +361,8 @@ class EstimatorNet:
         buffers = {} if buffers is None else buffers
         outs, rows = [], {}
         for part in row_blocks(n, _BLOCK_ROWS):
-            out, cache = self.forward_with_cache(x[part])
+            cache = []
+            out = self._walk(x[part], cache)
             dout = np.sign(out - y[part]) / (n * out.shape[1])
             for name, term in self._row_terms(cache, dout).items():
                 if name not in rows:
@@ -382,10 +373,6 @@ class EstimatorNet:
                 rows[name][part] = term
             outs.append(out)
         return np.concatenate(outs), _sum_rows(rows)
-
-    def backward(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of every parameter; `cache` is read, not consumed."""
-        return _sum_rows(self._row_terms(cache, dout))
 
     def _row_terms(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
         """Walk `_LAYERS` in reverse and return, per parameter, the per-row

@@ -11,9 +11,10 @@ The search runs on a flat path: a tree node holds only its unit, children,
 untried units and statistics. Each iteration replays its path from the root
 onto one flat list of the mix's layer units, counting the current model's
 stages, and `rollout` continues that list. The tree and the rollout read
-legal units from one table, `legal_units`. `SearchState`, `actions` and
-`apply` are the same rules one move at a time, the reference the tests hold
-the flat path to.
+legal units from one table, `legal_units`. `SearchState`, `initial_state`,
+`actions` and `apply` are the same rules one move at a time, the reference
+the tests hold the flat path to; no workflow calls them, and they stay in
+the package because `bench/test_bench_helpers.py` pins `mcts.apply`.
 """
 
 from __future__ import annotations

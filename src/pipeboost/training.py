@@ -11,14 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .embedding import build_embedding, mapped_inputs
 from .errors import DatasetError, MappingError
-from .estimator import _BLOCK_ROWS, EstimatorNet, TargetStats, row_blocks
+from .estimator import EstimatorNet, TargetStats
 from .simulator import (
     Mapping,
     _mapping_from_dict,
@@ -26,6 +26,12 @@ from .simulator import (
     simulate,
 )
 from .workload import DeviceProfile, Workload, _check_keys, _float, _typed
+
+
+# Adam's moment decay rates and the guard added to its denominator.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass
@@ -42,9 +48,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     train_size: int = 400
     val_size: int = 100
@@ -121,13 +124,6 @@ def l1_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.abs(pred - target).mean())
 
 
-def forward_in_slices(net: EstimatorNet, x: np.ndarray, size: int) -> np.ndarray:
-    """`net.forward(x)` bit for bit, run on `row_blocks` of `size` rows.
-    `train` validates in blocks of a training step's rows, so that a
-    validation pass holds no more activations than a step."""
-    return np.concatenate([net.forward(x[part]) for part in row_blocks(len(x), size)])
-
-
 def train(
     net: EstimatorNet,
     samples: list[Sample],
@@ -173,18 +169,16 @@ def train(
             t += 1
             for k in EstimatorNet.PARAM_ORDER:
                 g = grads[k]
-                m[k] *= config.beta1
-                m[k] += (1 - config.beta1) * g
-                v[k] *= config.beta2
-                v[k] += (1 - config.beta2) * g * g
-                m_hat = m[k] / (1 - config.beta1**t)
-                v_hat = v[k] / (1 - config.beta2**t)
-                net.params[k] -= (
-                    config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
-                )
+                m[k] *= _BETA1
+                m[k] += (1 - _BETA1) * g
+                v[k] *= _BETA2
+                v[k] += (1 - _BETA2) * g * g
+                m_hat = m[k] / (1 - _BETA1**t)
+                v_hat = v[k] / (1 - _BETA2**t)
+                net.params[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
         history["train_l1"].append(abs_sum / n_terms)
         if config.val_size:
-            pred = forward_in_slices(net, x_val, _BLOCK_ROWS)
+            pred = net.forward(x_val)
             history["val_l1"].append(l1_loss(pred, y_val))
         else:
             history["val_l1"].append(float("nan"))

@@ -228,6 +228,21 @@ class GeneratorConfig:
     jitter_range: tuple[float, float] = (0.7, 1.3)
     transfer_ms: float = 0.5
 
+    def __post_init__(self):
+        for name in ("layer_range", "kernels_range", "base_ms_range", "jitter_range"):
+            lo, hi = value = getattr(self, name)
+            if name in ("layer_range", "kernels_range"):
+                rule = "integers with 1 <= lo <= hi"
+                ok = isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi
+            else:
+                rule = "finite, with 0 < lo <= hi"
+                ok = math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi
+            if not ok:
+                raise ValueError(f"GeneratorConfig.{name} must be {rule}, got {value!r}")
+        if not (math.isfinite(self.transfer_ms) and self.transfer_ms >= 0):
+            raise ValueError(
+                f"GeneratorConfig.transfer_ms must be finite and >= 0, got {self.transfer_ms!r}")
+
 
 _UNIT_NAMES = ("gpu", "big-cpu", "little-cpu")
 _UNIT_KINDS = (UnitKind.GPU, UnitKind.BIG, UnitKind.LITTLE)

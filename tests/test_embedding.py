@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from pipeboost.embedding import build_embedding, build_mask, mapped_inputs, masked_input
+from pipeboost.embedding import build_embedding, mapped_inputs
 from pipeboost.errors import MappingError
 from pipeboost.simulator import Mapping, random_mapping_rng
 from pipeboost.workload import Workload, generate_profile, layer_cost
@@ -27,10 +27,19 @@ def test_embedding_zero_padding(tiny_profile):
     assert np.all(emb[:, 1, 2] == 0.0)
 
 
+def masked_by_loop(embedding, workload, mapping):
+    """The embedding times a boolean mask that is one-hot over the unit axis
+    for each (model-in-mix, layer) cell: the reference for `mapped_inputs`."""
+    mask = np.zeros(embedding.shape, dtype=bool)
+    for pos, model_idx in enumerate(workload.model_indices):
+        for l, unit in enumerate(mapping.assignments[pos]):
+            mask[unit, model_idx, l] = True
+    return embedding * mask
+
+
 def test_embedding_is_readonly(tiny_profile):
     emb = build_embedding(tiny_profile)
-    mask = build_mask(Workload((1,)), Mapping(((0, 0),)), tiny_profile)
-    for arr in (emb, mask, masked_input(emb, mask)):
+    for arr in (emb, mapped_inputs(emb, Workload((1,)), [Mapping(((0, 0),))], tiny_profile)):
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1
 
@@ -38,9 +47,9 @@ def test_embedding_is_readonly(tiny_profile):
 def test_mask_one_hot_over_units(tiny_profile):
     wl = Workload((0, 1))
     m = Mapping(((0, 1, 2), (2, 0)))
-    mask = build_mask(wl, m, tiny_profile)
-    assert mask.dtype == bool
-    assert mask.shape == (3, 2, 3)
+    x = mapped_inputs(build_embedding(tiny_profile), wl, [m], tiny_profile)[0]
+    mask = x != 0.0  # every real layer of the tiny profile costs > 0
+    assert x.shape == (3, 2, 3)
     # every (model-in-mix, real layer) column has exactly one unit set
     assert mask[:, 0, :].sum() == 3
     assert mask[:, 1, :2].sum() == 2
@@ -52,16 +61,13 @@ def test_mask_one_hot_over_units(tiny_profile):
 
 
 def test_mask_absent_model_rows_are_empty(tiny_profile):
-    wl = Workload((1,))
-    mask = build_mask(wl, Mapping(((0, 0),)), tiny_profile)
-    assert mask[:, 0, :].sum() == 0  # mA not in the mix
+    x = mapped_inputs(build_embedding(tiny_profile), Workload((1,)), [Mapping(((0, 0),))], tiny_profile)
+    assert not x[0, :, 0, :].any()  # mA not in the mix
 
 
 def test_masked_input_values(tiny_profile):
     emb = build_embedding(tiny_profile)
-    wl = Workload((0,))
-    mask = build_mask(wl, Mapping(((1, 1, 1),)), tiny_profile)
-    x = masked_input(emb, mask)
+    x = mapped_inputs(emb, Workload((0,)), [Mapping(((1, 1, 1),))], tiny_profile)[0]
     # only mA's row on unit 1 survives
     expected = np.array([layer_cost(l, 1) for l in tiny_profile.models[0].layers])
     np.testing.assert_allclose(x[1, 0, :], expected / 12.0)
@@ -69,14 +75,10 @@ def test_masked_input_values(tiny_profile):
 
 
 def test_masked_input_shape_mismatch(tiny_profile, gen_profile):
-    emb = build_embedding(tiny_profile)
-    other = build_mask(
-        Workload((0,)),
-        Mapping(((0,) * gen_profile.models[0].num_layers,)),
-        gen_profile,
-    )
-    with pytest.raises(ValueError):
-        masked_input(emb, other)
+    wl = Workload((0,))
+    good = Mapping(((0,) * gen_profile.models[0].num_layers,))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mapped_inputs(build_embedding(tiny_profile), wl, [good], gen_profile)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -87,17 +89,15 @@ def test_mapped_inputs_equal_masked_inputs(seed):
     for _ in range(10):
         wl = Workload(tuple(rng.sample(range(6), rng.randint(1, 5))))
         maps = [random_mapping_rng(wl, profile, rng.randint(1, 4), rng) for _ in range(rng.randint(1, 4))]
-        want = np.array([masked_input(emb, build_mask(wl, m, profile)) for m in maps])
+        want = np.array([masked_by_loop(emb, wl, m) for m in maps])
         got = mapped_inputs(emb, wl, maps, profile)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_mapped_inputs_keep_the_mask_checks(tiny_profile, gen_profile):
+def test_mapped_inputs_keep_the_mask_checks(tiny_profile):
     wl = Workload((0, 1))
     emb = build_embedding(tiny_profile)
     good = Mapping(((0, 1, 2), (1, 1)))
     for bad in (Mapping(((0, 1, 3), (1, 1))), Mapping(((0, 1), (1, 1))), Mapping(((0, 1, 2),))):
         with pytest.raises(MappingError):
             mapped_inputs(emb, wl, [good, bad], tiny_profile)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        mapped_inputs(build_embedding(gen_profile), wl, [good], tiny_profile)

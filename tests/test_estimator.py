@@ -70,24 +70,6 @@ def test_forward_shapes_and_batching():
     )
 
 
-@pytest.mark.parametrize("batch", [1, 5])
-@pytest.mark.parametrize(
-    "shape",
-    [(3, 2, 3), (3, 5, 7), (3, 11, 28)],  # pools skipped, odd dims truncated, bench size
-)
-def test_inference_forward_equals_training_forward(shape, batch):
-    net = EstimatorNet.new(shape, seed=4)
-    rng = np.random.default_rng(batch)
-    for name in EstimatorNet.PARAM_ORDER:
-        if name.endswith(".b"):  # exercise the bias adds too
-            net.params[name] = rng.normal(0.0, 0.1, net.params[name].shape)
-    x = rng.random((batch,) + shape)
-    want, _ = net.forward_with_cache(x)
-    assert np.array_equal(net.forward(x), want)
-    if batch == 1:
-        assert np.array_equal(net.forward(x[0]), want[0])
-
-
 def conv_backward_padded(dout, cache):
     """A conv's input, weight and bias gradients, the input gradient through a
     zero-padded buffer: the reference for `_conv_backward` and the row terms."""
@@ -122,7 +104,8 @@ def test_conv_backward_equals_padded_reference(shape):
 
 def unrolled_forward_backward(net, x, dout):
     """The net's forward pass and gradients with every layer written out, as
-    before the layer table: the reference for the table walk."""
+    before the layer table, over the whole batch as one block: the reference
+    for `forward` and `l1_gradients`."""
     p = net.params
     c = {}
     a_pre, c["convA"] = _conv_forward(x, p["convA.w"], p["convA.b"])
@@ -164,38 +147,23 @@ def unrolled_forward_backward(net, x, dout):
     return out, grads
 
 
-@pytest.mark.parametrize("batch", [1, 5])
-@pytest.mark.parametrize("shape", [(3, 2, 3), (3, 5, 7), (3, 11, 28)])
+@pytest.mark.parametrize("batch", [1, 2, 5, 8, 9, 16, 17, 32, 33])
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 2, 3), (3, 5, 7), (3, 11, 28)],  # pools skipped, odd dims truncated, bench size
+)
 def test_layer_walk_equals_unrolled_reference(shape, batch):
+    # `forward` and `l1_gradients` walk the layer table in row blocks
     net = EstimatorNet.new(shape, seed=6)
     rng = np.random.default_rng(10 + batch)
     for name in EstimatorNet.PARAM_ORDER:
-        if name.endswith(".b"):
-            net.params[name] = rng.normal(0.0, 0.1, net.params[name].shape)
-    x = rng.random((batch,) + shape)
-    dout = rng.normal(size=(batch, 3))
-    want_out, want_grads = unrolled_forward_backward(net, x, dout)
-    out, cache = net.forward_with_cache(x)
-    assert np.array_equal(out, want_out)
-    for _ in range(2):  # backward leaves the cache as it found it
-        grads = net.backward(cache, dout)
-        assert grads.keys() == want_grads.keys()
-        for name, want in want_grads.items():
-            assert np.array_equal(grads[name], want), name
-
-
-@pytest.mark.parametrize("batch", [1, 2, 5, 8, 9, 16, 17, 32, 33])
-def test_l1_gradients_equal_one_block(batch):
-    shape = (3, 11, 28)
-    net = EstimatorNet.new(shape, seed=2)
-    rng = np.random.default_rng(20 + batch)
-    for name in EstimatorNet.PARAM_ORDER:
-        if name.endswith(".b"):
+        if name.endswith(".b"):  # exercise the bias adds too
             net.params[name] = rng.normal(0.0, 0.1, net.params[name].shape)
     x = rng.random((batch,) + shape)
     y = rng.random((batch, 3))
-    want_out, cache = net.forward_with_cache(x)
-    want_grads = net.backward(cache, np.sign(want_out - y) / want_out.size)
+    want_out = unrolled_forward_backward(net, x, np.zeros((batch, 3)))[0]
+    want_grads = unrolled_forward_backward(net, x, np.sign(want_out - y) / want_out.size)[1]
+    assert np.array_equal(net.forward(x), want_out)
     buffers = {}  # first sized by a larger batch, then reused for this one
     net.l1_gradients(rng.random((40,) + shape), rng.random((40, 3)), buffers)
     for out, grads in (net.l1_gradients(x, y), net.l1_gradients(x, y, buffers)):
@@ -204,12 +172,27 @@ def test_l1_gradients_equal_one_block(batch):
         for name, want in want_grads.items():
             assert np.array_equal(grads[name], want), name
     if batch == 1:  # an unbatched input, with a target above and below the output
+        assert np.array_equal(net.forward(x[0]), want_out[0])
         y1 = want_out[0] + np.array([-1.0, 1.0, -1.0])
         out, grads = net.l1_gradients(x[0], y1)
-        want_grads = net.backward(cache, np.sign(want_out - y1) / want_out.size)
+        want_grads = unrolled_forward_backward(net, x, np.sign(want_out - y1) / want_out.size)[1]
         assert np.array_equal(out, want_out)
         for name, want in want_grads.items():
             assert np.array_equal(grads[name], want), name
+
+
+def test_blocked_forward_equals_one_walk():
+    # past `_BLOCK_ROWS` rows `forward` runs row blocks; a one-row last block
+    # must join the block before it, since the head rounds a one-row batch
+    # differently
+    net = EstimatorNet.new((3, 4, 7), seed=2)
+    rng = np.random.default_rng(0)
+    for k, v in net.params.items():
+        if k.endswith(".b"):
+            v[:] = rng.normal(0.0, 0.1, v.shape)
+    x = rng.random((64, 3, 4, 7))
+    for rows in range(1, 65):
+        assert np.array_equal(net.forward(x[:rows]), net._walk(x[:rows], None)), rows
 
 
 def pool_by_argmax(x, dout):
@@ -359,8 +342,10 @@ def test_target_stats_roundtrip_and_clipping():
     t = stats.transform(raw)
     assert t.min() >= 0.0 and t.max() <= 1.0
     assert t.min() == pytest.approx(0.0) and t.max() == pytest.approx(1.0)
-    # inverse recovers the training rows exactly (they are inside the range)
-    np.testing.assert_allclose(stats.inverse(t), raw, rtol=1e-10)
+    # the training rows get their z-scores, min-max scaled per column
+    z = (raw - raw.mean(axis=0)) / raw.std(axis=0)
+    want = (z - z.min(axis=0)) / (z.max(axis=0) - z.min(axis=0))
+    np.testing.assert_allclose(t, want, rtol=0, atol=1e-12)
     # out-of-range values clip instead of extrapolating
     beyond = stats.transform(raw.max(axis=0) * 10)
     assert np.all(beyond == 1.0)

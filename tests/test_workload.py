@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,38 @@ def test_generate_profile_respects_config():
     for m in prof.models:
         assert 3 <= m.num_layers <= 4
     prof.validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("layer_range", (5, 2)),  # an empty range, which randrange refused
+        ("layer_range", (0, 3)),
+        ("layer_range", (2.0, 3)),
+        ("kernels_range", (3, 1)),
+        ("kernels_range", (0, 0)),
+        ("base_ms_range", (0.0, 1.0)),
+        ("base_ms_range", (2.0, 1.0)),
+        ("base_ms_range", (1.0, math.inf)),
+        ("jitter_range", (math.nan, 1.0)),
+        ("jitter_range", (-0.5, 1.0)),
+        ("transfer_ms", -0.1),
+        ("transfer_ms", math.nan),
+        ("transfer_ms", math.inf),  # `simulate` divided by zero on such a profile
+    ],
+)
+def test_generator_config_refuses_bad_ranges(field, value):
+    with pytest.raises(ValueError, match=f"GeneratorConfig.{field} "):
+        pb.generate_profile(3, 0, GeneratorConfig(**{field: value}))
+
+
+def test_generator_config_accepts_the_edges_of_its_ranges():
+    cfg = GeneratorConfig(
+        layer_range=(1, 1), kernels_range=(1, 1), base_ms_range=(0.5, 0.5),
+        jitter_range=(1e-9, 1e-9), transfer_ms=0.0,
+    )
+    prof = pb.generate_profile(2, seed=0, config=cfg)
+    assert all(m.num_layers == 1 and len(m.layers[0].kernels) == 1 for m in prof.models)
 
 
 def test_generated_unit_factor_ordering():
