@@ -147,23 +147,59 @@ def unrolled_forward_backward(net, x, dout):
     return out, grads
 
 
-@pytest.mark.parametrize("batch", [1, 2, 5, 8, 9, 16, 17, 32, 33])
+def random_biases(net, rng):
+    """Set every bias to a random value, to exercise the bias adds too."""
+    for name in EstimatorNet.PARAM_ORDER:
+        if name.endswith(".b"):
+            net.params[name] = rng.normal(0.0, 0.1, net.params[name].shape)
+
+
+@pytest.mark.parametrize("batch", [1, 5])
 @pytest.mark.parametrize(
     "shape",
     [(3, 2, 3), (3, 5, 7), (3, 11, 28)],  # pools skipped, odd dims truncated, bench size
 )
+def test_inference_forward_equals_training_forward(shape, batch):
+    # `forward` walks without a cache, `l1_gradients` with one
+    net = EstimatorNet.new(shape, seed=4)
+    rng = np.random.default_rng(batch)
+    random_biases(net, rng)
+    x = rng.random((batch,) + shape)
+    want, _ = net.l1_gradients(x, rng.random((batch, 3)))
+    assert np.array_equal(net.forward(x), want)
+    if batch == 1:
+        assert np.array_equal(net.forward(x[0]), want[0])
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("shape", [(3, 2, 3), (3, 5, 7), (3, 11, 28)])
 def test_layer_walk_equals_unrolled_reference(shape, batch):
-    # `forward` and `l1_gradients` walk the layer table in row blocks
     net = EstimatorNet.new(shape, seed=6)
     rng = np.random.default_rng(10 + batch)
-    for name in EstimatorNet.PARAM_ORDER:
-        if name.endswith(".b"):  # exercise the bias adds too
-            net.params[name] = rng.normal(0.0, 0.1, net.params[name].shape)
+    random_biases(net, rng)
     x = rng.random((batch,) + shape)
     y = rng.random((batch, 3))
     want_out = unrolled_forward_backward(net, x, np.zeros((batch, 3)))[0]
     want_grads = unrolled_forward_backward(net, x, np.sign(want_out - y) / want_out.size)[1]
     assert np.array_equal(net.forward(x), want_out)
+    out, grads = net.l1_gradients(x, y)
+    assert np.array_equal(out, want_out)
+    assert grads.keys() == want_grads.keys() == set(EstimatorNet.PARAM_ORDER)
+    for name, want in want_grads.items():
+        assert np.array_equal(grads[name], want), name
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 8, 9, 16, 17, 32, 33])
+def test_l1_gradients_equal_one_block(batch):
+    # `l1_gradients` walks row blocks; the reference takes the batch as one
+    shape = (3, 11, 28)
+    net = EstimatorNet.new(shape, seed=2)
+    rng = np.random.default_rng(20 + batch)
+    random_biases(net, rng)
+    x = rng.random((batch,) + shape)
+    y = rng.random((batch, 3))
+    want_out = unrolled_forward_backward(net, x, np.zeros((batch, 3)))[0]
+    want_grads = unrolled_forward_backward(net, x, np.sign(want_out - y) / want_out.size)[1]
     buffers = {}  # first sized by a larger batch, then reused for this one
     net.l1_gradients(rng.random((40,) + shape), rng.random((40, 3)), buffers)
     for out, grads in (net.l1_gradients(x, y), net.l1_gradients(x, y, buffers)):
@@ -172,7 +208,6 @@ def test_layer_walk_equals_unrolled_reference(shape, batch):
         for name, want in want_grads.items():
             assert np.array_equal(grads[name], want), name
     if batch == 1:  # an unbatched input, with a target above and below the output
-        assert np.array_equal(net.forward(x[0]), want_out[0])
         y1 = want_out[0] + np.array([-1.0, 1.0, -1.0])
         out, grads = net.l1_gradients(x[0], y1)
         want_grads = unrolled_forward_backward(net, x, np.sign(want_out - y1) / want_out.size)[1]

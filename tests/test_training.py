@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pipeboost.errors import DatasetError
-from pipeboost.estimator import EstimatorNet
+from pipeboost.estimator import EstimatorNet, row_blocks
 from pipeboost.simulator import simulate
 from pipeboost.training import (
     TrainConfig,
@@ -117,6 +117,23 @@ def test_gradient_check_small_sample(gen_profile):
     net = EstimatorNet.new((3, 6, gen_profile.max_layers), seed=4)
     worst = gradient_check(net, samples[0].input, samples[0].target, n_checks=60, seed=0)
     assert worst <= 1e-4
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 32])
+@pytest.mark.parametrize("rows", [1, 5, 33])
+def test_forward_in_slices_equals_one_forward(rows, size):
+    # `train` validates with one `forward` call, which runs row blocks itself;
+    # any `row_blocks` split gives the same rows. Rows 5 and 33 leave a one-row
+    # last slice at some sizes; it must join the slice before it, since a
+    # one-row head rounds differently
+    net = EstimatorNet.new((3, 4, 7), seed=2)
+    rng = np.random.default_rng(rows)
+    for k, v in net.params.items():
+        if k.endswith(".b"):
+            v[:] = rng.normal(0.0, 0.1, v.shape)
+    x = rng.random((rows, 3, 4, 7))
+    sliced = np.concatenate([net.forward(x[part]) for part in row_blocks(rows, size)])
+    assert np.array_equal(sliced, net.forward(x))
 
 
 def test_l1_loss():
