@@ -51,8 +51,7 @@ def random_best(
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     mappings = [random_mapping_rng(workload, profile, max_stages, rng) for _ in range(n)]
-    rows = np.array([[u for a in m.assignments for u in a] for m in mappings])
-    best = mappings[int(np.argmax(simulate_batch(workload, rows, profile)))]
+    best = mappings[int(np.argmax(simulate_batch(workload, mappings, profile)))]
     return best, simulate(workload, best, profile)
 
 

@@ -46,13 +46,6 @@ def _derived_seed(base: int, *parts) -> int:
     return random.Random(f"cmp:{base}:" + ":".join(str(p) for p in parts)).getrandbits(32)
 
 
-def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in text.split(","))
-    if len(vals) != n:
-        raise ValueError(f"{what} needs {n} comma-separated values, got {len(vals)}")
-    return vals
-
-
 def _layer_range(text: str) -> tuple[int, int]:
     """`--layer-range`: two integers min,max with 1 <= min <= max."""
     try:
@@ -74,7 +67,7 @@ def _layer_range(text: str) -> tuple[int, int]:
 def cmd_genprofile(args) -> int:
     cfg = GeneratorConfig()
     if args.factors:
-        cfg = GeneratorConfig(unit_factors=_floats(args.factors, 3, "--factors"))
+        cfg = GeneratorConfig(unit_factors=tuple(float(v) for v in args.factors.split(",")))
     if args.layer_range is not None:
         cfg = GeneratorConfig(unit_factors=cfg.unit_factors, layer_range=_layer_range(args.layer_range))
     profile = generate_profile(args.models, args.seed, cfg)
@@ -99,8 +92,8 @@ def cmd_train(args) -> int:
     profile = load_profile(args.profile)
     samples = load_dataset(args.dataset, profile)
     config = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
-        seed=args.seed, train_size=args.train_size, val_size=args.val_size,
+        epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
+        train_size=args.train_size, val_size=args.val_size,
     )
     stats, samples = preprocess_targets(samples, config.train_size)
     shape = (profile.num_units, len(profile.models), profile.max_layers)
@@ -292,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--train-size", type=int, default=400)
     p.add_argument("--val-size", type=int, default=100)
     p.add_argument("--out", required=True)

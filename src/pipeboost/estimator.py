@@ -10,11 +10,13 @@ backward passes; there is no autodiff here.
 The net is written once, as the layer table `_LAYERS`, and one walk runs it:
 `EstimatorNet.forward` keeps nothing, and the training step `l1_gradients`
 keeps what its reverse walk over the table needs. Both walk a batch in row
-blocks of `_BLOCK_ROWS` (`row_blocks`), so columns and activations stay
-small. Every layer but the head is exact row by row, and no block of a
-larger batch has one row, which the head rounds differently; so `forward`
-gives one walk's output bit for bit, and `l1_gradients`, which runs the sums
-over the batch once, over all rows, gives one block's gradients bit for bit.
+blocks of at most `_BLOCK_ROWS`, so columns and activations stay small. The
+walk is exact row by row: every conv is a stacked matmul, and the head is
+one too, so a row's output has the same bits in any batch and `forward` of
+a batch equals `forward` of each row. The backward head `dout @ fc.w` is a
+plain matmul, which rounds a one-row block differently, so `l1_gradients`
+splits a batch evenly into blocks of two rows or more; it runs the sums over
+the batch once, over all rows, and gives one block's gradients bit for bit.
 
 Total trainable parameters: 224 + 1,168 + 4,640 + 3,480 + 10,416 + 75
 = 20,003, asserted at construction.
@@ -331,7 +333,7 @@ class EstimatorNet:
         g = x.mean(axis=(2, 3))
         if cache is not None:
             cache.append((x.shape, g))
-        return g @ p["fc.w"].T + p["fc.b"]
+        return np.matmul(g[:, None, :], p["fc.w"].T)[:, 0] + p["fc.b"]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Inference: one walk, in row blocks past `_BLOCK_ROWS` rows.
@@ -341,7 +343,9 @@ class EstimatorNet:
         single = np.asarray(x).ndim == 3
         x = self._check(x)
         if len(x) > _BLOCK_ROWS:
-            out = np.concatenate([self._walk(x[b], None) for b in row_blocks(len(x), _BLOCK_ROWS)])
+            out = np.concatenate(
+                [self._walk(x[a : a + _BLOCK_ROWS], None) for a in range(0, len(x), _BLOCK_ROWS)]
+            )
         else:
             out = self._walk(x, None)
         return out[0] if single else out
@@ -350,7 +354,9 @@ class EstimatorNet:
         """A batch's `forward` output and every parameter's gradient of the
         mean L1 loss to `y`, with `dout = sign(out - y) / out.size` at the
         head. Each row block is walked with a cache and back again; only the
-        batch reductions see every row.
+        batch reductions see every row. The blocks split the batch evenly, so
+        none has one row unless the batch has: the backward head's
+        `dout @ fc.w` rounds a one-row matmul differently.
 
         `buffers` is a dict that a training loop keeps across steps: the
         full-batch arrays of per-row terms live there and are reused, where
@@ -360,7 +366,9 @@ class EstimatorNet:
         y = np.broadcast_to(y, (n, len(self.params["fc.b"])))
         buffers = {} if buffers is None else buffers
         outs, rows = [], {}
-        for part in row_blocks(n, _BLOCK_ROWS):
+        blocks = -(-n // _BLOCK_ROWS)
+        for i in range(blocks):
+            part = slice(n * i // blocks, n * (i + 1) // blocks)
             cache = []
             out = self._walk(x[part], cache)
             dout = np.sign(out - y[part]) / (n * out.shape[1])
@@ -409,19 +417,6 @@ def _sum_rows(rows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         grads[name + ".w"] = rows[name + ".w"].sum(axis=0).reshape(_SHAPES[name + ".w"])
         grads[name + ".b"] = rows[name + ".b"].sum(axis=(0, 2, 3))
     return grads
-
-
-def row_blocks(n: int, size: int) -> list[slice]:
-    """Slices of `size` rows (at least 2) that cover `n` rows in order. A last
-    block of one row joins the one before it: the head's matmul rounds a
-    one-row batch differently from the same row in a larger batch, while
-    every other layer is exact row by row."""
-    size = max(size, 2)
-    cuts = list(range(size, n, size))
-    if cuts and n - cuts[-1] == 1:
-        cuts.pop()
-    bounds = [0, *cuts, n]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------

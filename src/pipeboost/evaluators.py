@@ -18,7 +18,6 @@ import numpy as np
 from .baselines import gpu_only
 from .embedding import build_embedding, mapped_inputs
 from .estimator import EstimatorNet
-from .errors import MappingError
 from .simulator import Mapping, simulate, simulate_batch
 from .workload import DeviceProfile, Workload
 
@@ -78,16 +77,5 @@ class SimulatorEvaluator:
 
     def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
         """`score` of each mapping, through one `simulate_batch` call."""
-        workload.validate_for(self.profile)
-        lengths = [self.profile.models[i].num_layers for i in workload.model_indices]
-        for mapping in mappings:
-            shape = [len(a) for a in mapping.assignments]
-            if shape != lengths:
-                raise MappingError(
-                    f"mapping has models of {shape} layers, workload has {lengths}"
-                )
-        rows = np.array(
-            [[u for a in m.assignments for u in a] for m in mappings], dtype=np.intp
-        ).reshape(len(mappings), sum(lengths))
-        t = simulate_batch(workload, rows, self.profile)
+        t = simulate_batch(workload, mappings, self.profile)
         return t / (t + self._reference(workload))

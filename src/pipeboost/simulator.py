@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MappingError, SearchSpaceError
-from .workload import DeviceProfile, Workload, _check_keys, _is_int
+from .workload import DeviceProfile, Workload, _check_keys, _is_int, workload_from_names
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -186,26 +186,26 @@ def simulate(
 
 
 def simulate_batch(
-    workload: Workload, assignments: np.ndarray, profile: DeviceProfile
+    workload: Workload, mappings: list[Mapping], profile: DeviceProfile
 ) -> np.ndarray:
-    """`simulate(...).avg_throughput` of every row of an (N, total_layers)
-    int array, each row one mapping with its models' assignments joined in
-    mix order. Bit-identical to `simulate`; see the module docstring."""
+    """`simulate(...).avg_throughput` of each of `mappings` of one workload.
+    Bit-identical to `simulate`; see the module docstring. The shape and
+    range checks of `validate_mapping` are made once for the whole batch."""
     if len(workload) == 0:
         raise ValueError("cannot simulate an empty workload")
     workload.validate_for(profile)
-    lengths = np.array([profile.models[i].num_layers for i in workload.model_indices])
-    a = np.asarray(assignments)
-    if a.ndim != 2 or a.shape[1] != lengths.sum() or a.dtype.kind not in "iu":
-        raise MappingError(
-            f"assignments must be an (N, {lengths.sum()}) int array, "
-            f"got {a.dtype} of shape {a.shape}"
-        )
-    if a.size == 0:
+    counts = [profile.models[i].num_layers for i in workload.model_indices]
+    for mapping in mappings:
+        shape = [len(a) for a in mapping.assignments]
+        if shape != counts:
+            raise MappingError(f"mapping has models of {shape} layers, workload has {counts}")
+    if not mappings:
         return np.empty(0)
+    a = np.array([[u for run in m.assignments for u in run] for m in mappings], dtype=np.intp)
     bad = a[(a < 0) | (a >= profile.num_units)]
     if bad.size:
         raise MappingError(f"unit id {bad[0]} out of range")
+    lengths = np.array(counts)
     n, m, width = len(a), len(workload), int(lengths.max())
 
     # (layer, mapping, model) arrays: units, costs, stage starts and ends
@@ -381,8 +381,7 @@ def _mapping_from_dict(
         isinstance(a, list) and all(_is_int(u) for u in a) for a in assignments
     ):
         raise error(f"{ctx}: assignments must be a list of lists of unit ids")
-    workload = Workload(tuple(profile.model_index(n) for n in names))
-    return workload, Mapping(tuple(tuple(a) for a in assignments))
+    return workload_from_names(profile, names), Mapping(tuple(tuple(a) for a in assignments))
 
 
 def load_mapping(path: str | Path, profile: DeviceProfile) -> tuple[Workload, Mapping]:

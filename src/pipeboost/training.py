@@ -28,7 +28,8 @@ from .simulator import (
 from .workload import DeviceProfile, Workload, _check_keys, _float, _typed
 
 
-# Adam's moment decay rates and the guard added to its denominator.
+# Adam's step size, moment decay rates and the guard added to its denominator.
+_LEARNING_RATE = 1e-3
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
@@ -47,7 +48,6 @@ class Sample:
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
-    learning_rate: float = 1e-3
     seed: int = 0
     train_size: int = 400
     val_size: int = 100
@@ -175,7 +175,7 @@ def train(
                 v[k] += (1 - _BETA2) * g * g
                 m_hat = m[k] / (1 - _BETA1**t)
                 v_hat = v[k] / (1 - _BETA2**t)
-                net.params[k] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
+                net.params[k] -= _LEARNING_RATE * m_hat / (np.sqrt(v_hat) + _EPS)
         history["train_l1"].append(abs_sum / n_terms)
         if config.val_size:
             pred = net.forward(x_val)

@@ -155,8 +155,8 @@ class DeviceProfile:
             raise ProfileError(f"unit ids must be contiguous from 0, got {ids}")
         if sum(1 for u in self.units if u.kind is UnitKind.GPU) != 1:
             raise ProfileError("profile must have exactly one GPU unit")
-        if self.transfer_ms < 0:
-            raise ProfileError(f"negative transfer_ms {self.transfer_ms}")
+        if not (math.isfinite(self.transfer_ms) and self.transfer_ms >= 0):
+            raise ProfileError(f"transfer_ms must be finite and >= 0, got {self.transfer_ms!r}")
         names = [m.name for m in self.models]
         if len(set(names)) != len(names):
             raise ProfileError(f"duplicate model names in profile: {names}")
@@ -229,6 +229,10 @@ class GeneratorConfig:
     transfer_ms: float = 0.5
 
     def __post_init__(self):
+        factors = self.unit_factors
+        if not (len(factors) == 3 and all(math.isfinite(f) and f > 0 for f in factors)):
+            raise ValueError(
+                f"GeneratorConfig.unit_factors must be three finite values > 0, got {factors!r}")
         for name in ("layer_range", "kernels_range", "base_ms_range", "jitter_range"):
             lo, hi = value = getattr(self, name)
             if name in ("layer_range", "kernels_range"):

@@ -250,28 +250,26 @@ def test_simulate_batch_equals_simulate(seed, size, n, limit, rng):
         ]
     else:
         maps = [random_mapping_rng(wl, profile, limit, rng) for _ in range(n)]
-    rows = np.array([[u for a in m.assignments for u in a] for m in maps])
     expected = [simulate(wl, m, profile).avg_throughput for m in maps]
-    assert np.array_equal(simulate_batch(wl, rows, profile), expected)
+    assert np.array_equal(simulate_batch(wl, maps, profile), expected)
 
 
-def test_simulate_batch_rejects_bad_arrays(tiny_profile):
+def test_simulate_batch_rejects_bad_mappings(tiny_profile):
     wl = Workload((0, 1))  # 3 + 2 layers
-    good = np.array([[0, 1, 2, 1, 1]])
-    assert simulate_batch(wl, good, tiny_profile)[0] == simulate(
-        wl, Mapping(((0, 1, 2), (1, 1))), tiny_profile
-    ).avg_throughput
-    for bad in (
-        np.array([[0, 1, 2, 1]]),  # width
-        np.array([0, 1, 2, 1, 1]),  # not 2-d
-        np.array([[0.0, 1.0, 2.0, 1.0, 1.0]]),  # not ints
-        np.array([[0, 1, 3, 1, 1]]),  # unit range
-        np.array([[0, 1, 2, 1, -1]]),
+    good = Mapping(((0, 1, 2), (1, 1)))
+    assert simulate_batch(wl, [good], tiny_profile)[0] == simulate(wl, good, tiny_profile).avg_throughput
+    assert simulate_batch(wl, [], tiny_profile).shape == (0,)
+    for bad, match in (
+        (Mapping(((0, 1), (2, 1, 1))), "layers"),  # the same 5 units, split 2 + 3
+        (Mapping(((0, 1, 2, 1, 1),)), "layers"),  # all in one model
+        (Mapping(((0, 1, 2), (1,))), "layers"),  # a layer short
+        (Mapping(((0, 1, 3), (1, 1))), "^unit id 3 out of range$"),
+        (Mapping(((0, 1, 2), (1, -1))), "^unit id -1 out of range$"),
     ):
-        with pytest.raises(MappingError):
-            simulate_batch(wl, bad, tiny_profile)
+        with pytest.raises(MappingError, match=match):
+            simulate_batch(wl, [good, bad], tiny_profile)
     with pytest.raises(ValueError):
-        simulate_batch(Workload(()), np.zeros((1, 0), dtype=int), tiny_profile)
+        simulate_batch(Workload(()), [Mapping(())], tiny_profile)
 
 
 # ------------------------------------------------------------ fuzz oracle

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pipeboost.errors import DatasetError
-from pipeboost.estimator import EstimatorNet, row_blocks
+from pipeboost.estimator import EstimatorNet
 from pipeboost.simulator import simulate
 from pipeboost.training import (
     TrainConfig,
@@ -123,16 +123,15 @@ def test_gradient_check_small_sample(gen_profile):
 @pytest.mark.parametrize("rows", [1, 5, 33])
 def test_forward_in_slices_equals_one_forward(rows, size):
     # `train` validates with one `forward` call, which runs row blocks itself;
-    # any `row_blocks` split gives the same rows. Rows 5 and 33 leave a one-row
-    # last slice at some sizes; it must join the slice before it, since a
-    # one-row head rounds differently
+    # any split gives the same rows, one-row slices included (all of them at
+    # size 1, and the last of rows 5 and 33 at some sizes)
     net = EstimatorNet.new((3, 4, 7), seed=2)
     rng = np.random.default_rng(rows)
     for k, v in net.params.items():
         if k.endswith(".b"):
             v[:] = rng.normal(0.0, 0.1, v.shape)
     x = rng.random((rows, 3, 4, 7))
-    sliced = np.concatenate([net.forward(x[part]) for part in row_blocks(rows, size)])
+    sliced = np.concatenate([net.forward(x[a : a + size]) for a in range(0, rows, size)])
     assert np.array_equal(sliced, net.forward(x))
 
 

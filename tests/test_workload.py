@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -92,6 +93,12 @@ def test_generate_profile_respects_config():
         ("transfer_ms", -0.1),
         ("transfer_ms", math.nan),
         ("transfer_ms", math.inf),  # `simulate` divided by zero on such a profile
+        ("unit_factors", (1.0, 2.0, 3.0, 4.0)),  # one more than there are units
+        ("unit_factors", (1.0, 3.0)),
+        ("unit_factors", (0.0, 3.0, 8.0)),
+        ("unit_factors", (1.0, -3.0, 8.0)),
+        ("unit_factors", (1.0, 3.0, math.nan)),
+        ("unit_factors", (math.inf, 3.0, 8.0)),
     ],
 )
 def test_generator_config_refuses_bad_ranges(field, value):
@@ -132,6 +139,15 @@ def test_profile_from_dict_rejects_unknown_keys(tiny_profile):
     data["extra"] = 1
     with pytest.raises(ProfileError):
         profile_from_dict(data)
+
+
+@pytest.mark.parametrize("transfer_ms", [-0.5, math.inf, math.nan])
+def test_profile_validate_refuses_a_bad_transfer_time(transfer_ms):
+    # a profile built in code must not validate with such a time: `simulate`
+    # would divide by zero (inf) or report a `nan` utilization (nan)
+    prof = dataclasses.replace(pb.generate_profile(3, 0), transfer_ms=transfer_ms)
+    with pytest.raises(ProfileError, match="transfer_ms must be finite and >= 0"):
+        prof.validate()
 
 
 def test_profile_validate_catches_bad_unit_ids(tiny_profile):
