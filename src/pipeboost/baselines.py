@@ -21,6 +21,7 @@ from .simulator import (
     Mapping,
     ThroughputReport,
     random_mapping_rng,
+    randbelow,
     simulate,
     simulate_batch,
     stage_bounds,
@@ -222,7 +223,15 @@ def ga_schedule(
     """Evolve flat per-layer unit strings under `evaluator`. The random draws
     come in a fixed order (initial population; then per child two
     tournaments, a crossover point and one draw per gene), so a seed fixes
-    the result."""
+    the result.
+
+    Past the initial population (`random_mapping_rng`), each tournament
+    index, crossover point and mutated unit is drawn by `simulator.randbelow`:
+    the number and rng state of `randrange(size)`, `randrange(1, total)` and
+    `randrange(n_units)`, without their Python frames. Whether a gene mutates
+    stays `rng.random() < mutation_rate`. So the generations depend only on
+    the seed's `getrandbits` and `random()` streams; `tests/test_simulator.py`
+    pins the draw."""
     config = config or GaConfig()
     workload.validate_for(profile)
     if len(workload) == 0:
@@ -238,7 +247,7 @@ def ga_schedule(
     size, k, limit = config.population, config.tournament_k, config.stage_limit
     rate, n_units = config.mutation_rate, profile.num_units
     rng = random.Random(config.seed)
-    randrange, draw = rng.randrange, rng.random
+    getrandbits, draw = rng.getrandbits, rng.random
 
     def to_mapping(genes: list[int]) -> Mapping:
         return Mapping(assignments=tuple(tuple(genes[s:e]) for s, e, _ in spans))
@@ -248,9 +257,9 @@ def ga_schedule(
 
     def tournament(fitness: list[float]) -> list[int]:
         """Best of k drawn indices by fitness, the lower index on a tie."""
-        best = randrange(size)
+        best = randbelow(getrandbits, size)
         for _ in range(k - 1):
-            i = randrange(size)
+            i = randbelow(getrandbits, size)
             if fitness[i] > fitness[best] or (fitness[i] == fitness[best] and i < best):
                 best = i
         return population[best]
@@ -265,9 +274,10 @@ def ga_schedule(
         nxt = [list(population[i]) for i in order[: config.elitism]]
         while len(nxt) < size:
             p1, p2 = tournament(fitness), tournament(fitness)
-            point = randrange(1, total) if total > 1 else 0
+            point = 1 + randbelow(getrandbits, total - 1) if total > 1 else 0
             child = [
-                randrange(n_units) if draw() < rate else g for g in p1[:point] + p2[point:]
+                randbelow(getrandbits, n_units) if draw() < rate else g
+                for g in p1[:point] + p2[point:]
             ]
             for s, e, costs in spans:
                 child[s:e] = merge_to_limit(child[s:e], costs, limit)

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .simulator import Mapping, validate_mapping
+from .simulator import Mapping, _unit_rows, validate_mapping
 from .workload import DeviceProfile, Workload
 
 
@@ -55,9 +55,7 @@ def mapped_inputs(
     if embedding.shape != want:
         raise ValueError(f"shape mismatch: embedding {embedding.shape}, profile {want}")
     counts = tuple(profile.models[i].num_layers for i in workload.model_indices)
-    units = np.array(
-        [[u for a in m.assignments for u in a] for m in mappings], dtype=np.intp
-    ).reshape(len(mappings), sum(counts))
+    units = _unit_rows(mappings, sum(counts))
     cells = units * embedding[0].size + _cells(workload.model_indices, counts, embedding.shape[2])
     out = np.zeros((len(mappings), embedding.size))
     out[np.arange(len(mappings))[:, None], cells] = embedding.reshape(-1)[cells]

@@ -15,6 +15,12 @@ legal units from one table, `legal_units`. `SearchState`, `initial_state`,
 `actions` and `apply` are the same rules one move at a time, the reference
 the tests hold the flat path to; no workflow calls them, and they stay in
 the package because `bench/test_bench_helpers.py` pins `mcts.apply`.
+
+The rollout's moves are the search's only random draws. Each runs the loop
+of `simulator.randbelow`, the one behind `Random.choice`, with its k kept in
+the `legal_units` table: the number and rng state of `rng.choice`, so a
+seeded search depends only on the seed's `getrandbits` stream.
+`tests/test_simulator.py` pins the draw against `randrange` and `choice`.
 """
 
 from __future__ import annotations
@@ -120,13 +126,15 @@ def apply(state: SearchState, action: int) -> SearchState:
 
 
 def legal_units(num_units: int, stage_limit: int, max_layers: int) -> dict:
-    """The rule of `actions` as a table for the flat path: the units open to
-    a layer by (stages its model has used, previous unit or None)."""
-    return {
-        (used, prev): tuple(u for u in range(num_units) if used + (u != prev) <= stage_limit)
-        for used in range(min(stage_limit, max_layers) + 1)
-        for prev in (None, *range(num_units))
-    }
+    """The rule of `actions` as a table for the flat path: by (stages its
+    model has used, previous unit or None), the units open to a layer and
+    the bit length of their count, the `k` of `rollout`'s draw."""
+    table = {}
+    for used in range(min(stage_limit, max_layers) + 1):
+        for prev in (None, *range(num_units)):
+            units = tuple(u for u in range(num_units) if used + (u != prev) <= stage_limit)
+            table[used, prev] = units, len(units).bit_length()
+    return table
 
 
 def rollout(
@@ -137,11 +145,12 @@ def rollout(
     Appends the missing layers to `units`, a mapping's first layers flat in
     mix order (`spans` are each model's (start, end) there, and `used` the
     stages so far of the last unit's model), and returns them. It must draw
-    exactly as stepping `actions` and `apply` does: the same `rng.choice` on
-    the same legal units, or seeded searches change.
+    exactly as stepping `actions` and `apply` does: the same numbers as
+    `rng.choice` on the same legal units, or seeded searches change. Each
+    move is `simulator.randbelow`'s loop written inline, with k from `legal`.
     """
     start, depth = len(units), config.max_depth
-    choice, append = rng.choice, units.append
+    getrandbits, append = rng.getrandbits, units.append
     for s, e in spans:
         if len(units) >= e:
             continue
@@ -149,7 +158,12 @@ def rollout(
         used = 0 if prev is None else used
         for _ in range(len(units), e):
             if depth:
-                a = choice(legal[used, prev])
+                opts, k = legal[used, prev]
+                n = len(opts)
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                a = opts[r]
                 depth -= 1
             else:
                 a = 0 if prev is None else prev
@@ -195,7 +209,7 @@ def schedule(
     starts = {s for s, _ in spans}
     legal = legal_units(profile.num_units, config.stage_limit, max(counts))
     rng = random.Random(config.seed)
-    root = _Node(None, list(legal[0, None]))
+    root = _Node(None, list(legal[0, None][0]))
     best_reward, best_mapping = -math.inf, None
     t0 = time.perf_counter()
 
@@ -213,7 +227,7 @@ def schedule(
             used = key[0] + (n.unit != key[1])
             key = (0, None) if len(units) in starts else (used, n.unit)
         if node is not path[-1] and len(units) < ends[-1]:  # a new node's untried units
-            path[-1].untried = list(legal[key])
+            path[-1].untried = list(legal[key][0])
         rollout(units, key[0], spans, legal, rng, config)
         mapping = Mapping(tuple(tuple(units[s:e]) for s, e in spans))
         reward = evaluate_terminal(workload, mapping, evaluator)

@@ -185,6 +185,15 @@ def simulate(
     )
 
 
+def _unit_rows(mappings: list[Mapping], layers: int) -> np.ndarray:
+    """The (len(mappings), layers) array of the units of `mappings`, whose
+    runs hold `layers` units in all: one row per mapping, flat in mix order."""
+    flat = itertools.chain.from_iterable(a for m in mappings for a in m.assignments)
+    return np.fromiter(flat, dtype=np.intp, count=len(mappings) * layers).reshape(
+        len(mappings), layers
+    )
+
+
 def simulate_batch(
     workload: Workload, mappings: list[Mapping], profile: DeviceProfile
 ) -> np.ndarray:
@@ -201,7 +210,7 @@ def simulate_batch(
             raise MappingError(f"mapping has models of {shape} layers, workload has {counts}")
     if not mappings:
         return np.empty(0)
-    a = np.array([[u for run in m.assignments for u in run] for m in mappings], dtype=np.intp)
+    a = _unit_rows(mappings, sum(counts))
     bad = a[(a < 0) | (a >= profile.num_units)]
     if bad.size:
         raise MappingError(f"unit id {bad[0]} out of range")
@@ -337,6 +346,20 @@ def _random_assignment(
     for seg, unit in enumerate(units):
         assignment.extend([unit] * (bounds[seg + 1] - bounds[seg]))
     return tuple(assignment)
+
+
+def randbelow(getrandbits, n: int) -> int:
+    """`rng.randrange(n)`, and the index `rng.choice` takes from n items, for
+    `getrandbits = rng.getrandbits` and n >= 1 (n = 0 never returns): the loop
+    of CPython's `Random._randbelow` behind both, so the same number and rng
+    state without their Python frames. k is n.bit_length(), not
+    (n - 1).bit_length(), as there: at n = 2**j half the draws are thrown away.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def random_mapping_rng(

@@ -390,6 +390,25 @@ def test_ga_equals_loop_reference(profile_seed, coarse):
         assert ga_schedule(wl, profile, evaluator, config) == ga_by_loop(
             wl, profile, evaluator, config
         )
+    # tournament draws at and next to powers of two, no and full mutation, and
+    # a mix whose crossover draws below a power of two (total layers - 1)
+    layers = [m.num_layers for m in profile.models]
+    crossover_mix = next(
+        mix
+        for size in (1, 2, 3)
+        for mix in itertools.combinations(range(8), size)
+        if (sum(layers[i] for i in mix) - 1).bit_count() == 1
+    )
+    for trial, (size, rate) in enumerate(itertools.product((2, 8, 16, 33), (0.0, 0.1, 1.0))):
+        mixes = [tuple(rng.sample(range(8), trial % 4 + 1)), crossover_mix]
+        for wl in map(Workload, mixes):
+            config = GaConfig(
+                population=size, generations=3, mutation_rate=rate, tournament_k=3,
+                elitism=min(2, size - 1), seed=trial,
+            )
+            assert ga_schedule(wl, profile, evaluator, config) == ga_by_loop(
+                wl, profile, evaluator, config
+            )
 
 
 def test_ga_config_validation():

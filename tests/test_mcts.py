@@ -294,7 +294,8 @@ def test_legal_units_table_is_the_rule_of_actions(tiny_profile):
         cfg = MctsConfig(stage_limit=limit)
         legal = legal_units(tiny_profile.num_units, limit, 3)
         s = initial_state(Workload((0,)), tiny_profile, cfg)
-        assert list(legal[0, None]) == actions(s)
+        assert all(k == len(units).bit_length() for units, k in legal.values())
+        assert list(legal[0, None][0]) == actions(s)
         for moves in itertools.product(range(3), repeat=2):
             t = s
             for a in moves:
@@ -302,7 +303,7 @@ def test_legal_units_table_is_the_rule_of_actions(tiny_profile):
                     break
                 t = apply(t, a)
                 if t.cursor is not None:
-                    assert list(legal[t.stage_counts[0], a]) == actions(t)
+                    assert list(legal[t.stage_counts[0], a][0]) == actions(t)
 
 
 def test_evaluate_terminal(tiny_profile):

@@ -24,6 +24,7 @@ from pipeboost.simulator import (
     iter_assignments,
     load_mapping,
     random_mapping_rng,
+    randbelow,
     save_mapping,
     simulate,
     simulate_batch,
@@ -396,6 +397,19 @@ def test_random_mapping_valid_and_seeded(gen_profile):
         assert stage_count(a) <= 3
     m3 = random_mapping_rng(wl, gen_profile, 3, random.Random(5))
     assert m1 != m3  # overwhelmingly likely for this space
+
+
+def test_randbelow_is_randrange_and_choice():
+    # every n up to 130, so every power of two up to 128: there CPython's
+    # k = n.bit_length() throws away half the draws, and (n - 1).bit_length()
+    # would give other numbers
+    for n in range(1, 131):
+        for seed in range(50):
+            rng, by_range, by_choice = (random.Random(seed) for _ in range(3))
+            got = [randbelow(rng.getrandbits, n) for _ in range(3)]
+            assert got == [by_range.randrange(n) for _ in range(3)]
+            assert got == [by_choice.choice(range(n)) for _ in range(3)]
+            assert rng.getstate() == by_range.getstate() == by_choice.getstate()
 
 
 def test_mapping_json_roundtrip(tiny_profile, tmp_path):
