@@ -65,12 +65,12 @@ def _layer_range(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def cmd_genprofile(args) -> int:
-    cfg = GeneratorConfig()
+    cfg = {}
     if args.factors:
-        cfg = GeneratorConfig(unit_factors=tuple(float(v) for v in args.factors.split(",")))
+        cfg["unit_factors"] = tuple(float(v) for v in args.factors.split(","))
     if args.layer_range is not None:
-        cfg = GeneratorConfig(unit_factors=cfg.unit_factors, layer_range=_layer_range(args.layer_range))
-    profile = generate_profile(args.models, args.seed, cfg)
+        cfg["layer_range"] = _layer_range(args.layer_range)
+    profile = generate_profile(args.models, args.seed, GeneratorConfig(**cfg))
     save_profile(profile, args.out)
     print(f"wrote {args.out}: {len(profile.models)} models, "
           f"{profile.num_units} units, max {profile.max_layers} layers")
@@ -116,15 +116,17 @@ def _make_evaluator(args, profile):
     return EstimatorEvaluator(load_weights(args.weights, shape), profile)
 
 
+def _mcts_config(args, seed: int) -> mcts.MctsConfig:
+    return mcts.MctsConfig(
+        budget=args.budget, max_depth=args.depth, stage_limit=args.stage_limit, seed=seed
+    )
+
+
 def cmd_schedule(args) -> int:
     profile = load_profile(args.profile)
     workload = workload_from_names(profile, args.mix.split(","))
     evaluator = _make_evaluator(args, profile)
-    config = mcts.MctsConfig(
-        budget=args.budget, max_depth=args.depth, stage_limit=args.stage_limit,
-        seed=args.seed,
-    )
-    mapping, stats = mcts.schedule(workload, profile, evaluator, config)
+    mapping, stats = mcts.schedule(workload, profile, evaluator, _mcts_config(args, args.seed))
     save_mapping(mapping, profile, workload, args.out)
     print(json.dumps(stats))
     return 0
@@ -168,13 +170,7 @@ def _run_method(method, workload, profile, evaluator, linreg, args, seed):
             baselines.GaConfig(stage_limit=args.stage_limit, seed=seed),
         )
     elif method == "mcts":
-        mapping, _ = mcts.schedule(
-            workload, profile, evaluator,
-            mcts.MctsConfig(
-                budget=args.budget, max_depth=args.depth,
-                stage_limit=args.stage_limit, seed=seed,
-            ),
-        )
+        mapping, _ = mcts.schedule(workload, profile, evaluator, _mcts_config(args, seed))
     else:  # pragma: no cover - filtered during argument validation
         raise ValueError(f"unknown method {method!r}")
     elapsed_ms = (time.perf_counter() - t0) * 1000.0

@@ -55,7 +55,7 @@ def mapped_inputs(
     if embedding.shape != want:
         raise ValueError(f"shape mismatch: embedding {embedding.shape}, profile {want}")
     counts = tuple(profile.models[i].num_layers for i in workload.model_indices)
-    units = _unit_rows(mappings, sum(counts))
+    units = _unit_rows(mappings, sum(counts), profile.num_units)
     cells = units * embedding[0].size + _cells(workload.model_indices, counts, embedding.shape[2])
     out = np.zeros((len(mappings), embedding.size))
     out[np.arange(len(mappings))[:, None], cells] = embedding.reshape(-1)[cells]

@@ -336,18 +336,15 @@ class EstimatorNet:
         return np.matmul(g[:, None, :], p["fc.w"].T)[:, 0] + p["fc.b"]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Inference: one walk, in row blocks past `_BLOCK_ROWS` rows.
+        """Inference: one walk per block of `_BLOCK_ROWS` rows.
 
-        A single (C, H, W) input gives a (3,) output; a batch gives (B, 3).
+        A single (C, H, W) input gives a (3,) output; a batch gives (B, 3),
+        and an empty batch (0, 3).
         """
         single = np.asarray(x).ndim == 3
         x = self._check(x)
-        if len(x) > _BLOCK_ROWS:
-            out = np.concatenate(
-                [self._walk(x[a : a + _BLOCK_ROWS], None) for a in range(0, len(x), _BLOCK_ROWS)]
-            )
-        else:
-            out = self._walk(x, None)
+        blocks = range(0, max(len(x), 1), _BLOCK_ROWS)
+        out = np.concatenate([self._walk(x[a : a + _BLOCK_ROWS], None) for a in blocks])
         return out[0] if single else out
 
     def l1_gradients(self, x: np.ndarray, y: np.ndarray, buffers: dict | None = None):

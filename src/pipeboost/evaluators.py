@@ -41,8 +41,6 @@ class EstimatorEvaluator:
         return float(self.score_batch(workload, [mapping])[0])
 
     def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
-        if not mappings:
-            return np.zeros(0)
         xs = mapped_inputs(self.embedding, workload, mappings, self.profile)
         pred = np.clip(self.net.forward(xs), 0.0, 1.0)
         return pred.mean(axis=1)

@@ -24,11 +24,18 @@ the mapping they pick.
 
 `simulate_batch` scores many mappings of one workload at once and returns
 the same `avg_throughput` floats bit for bit. It does every float operation
-of `simulate` in the same order, only across the batch at once: a stage
-cost is accumulated layer by layer from the first layer of its run (no
-prefix sums, no numpy `.sum()`, which sums pairwise), each unit's load
-gathers its stages in (model, stage) order, and T adds the models one by
-one. Padding adds `0.0`, which leaves a non-negative sum unchanged.
+of `simulate` in the same order, only across the batch at once, on
+(layer, mapping, model) arrays. A stage cost is accumulated layer by layer
+from the first layer of its run (no prefix sums, no numpy `.sum()`, which
+sums pairwise) and is read at the stage's end, its last layer; a model's
+rate is 1000 / the max of its stage ends' times. Each unit's load is one
+`np.add.at` over the stage ends listed in (mapping, model, layer) order:
+`ufunc.at` applies repeated indices one by one in the order given, so each
+unit adds its stages in `simulate`'s (model, stage) order, where a buffered
+`raw_load[rows, units] += ...` would keep only the last. `np.add.accumulate`
+along the models then adds them one by one, as `sum` does. The batch path
+was timed on numpy 2.4.6; `ufunc.at` is much slower before numpy 1.25,
+which the `numpy>=1.24` of `pyproject.toml` still allows.
 """
 
 from __future__ import annotations
@@ -43,7 +50,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MappingError, SearchSpaceError
-from .workload import DeviceProfile, Workload, _check_keys, _is_int, workload_from_names
+from .workload import (
+    DeviceProfile, Workload, _check_keys, _is_int, _read_json, workload_from_names,
+)
 
 DEFAULT_ENUM_CAP = 10_000_000
 
@@ -105,9 +114,7 @@ def validate_mapping(
                 f"model {model.name!r}: {len(assignment)} assignments "
                 f"for {model.num_layers} layers"
             )
-        if assignment and not 0 <= min(assignment) <= max(assignment) < profile.num_units:
-            bad = next(u for u in assignment if not 0 <= u < profile.num_units)
-            raise MappingError(f"unit id {bad} out of range")
+        _check_unit_ids(assignment, profile.num_units)
 
 
 def stage_bounds(assignment: tuple[int, ...] | list[int]) -> list[tuple[int, int, int]]:
@@ -185,13 +192,21 @@ def simulate(
     )
 
 
-def _unit_rows(mappings: list[Mapping], layers: int) -> np.ndarray:
-    """The (len(mappings), layers) array of the units of `mappings`, whose
-    runs hold `layers` units in all: one row per mapping, flat in mix order."""
-    flat = itertools.chain.from_iterable(a for m in mappings for a in m.assignments)
-    return np.fromiter(flat, dtype=np.intp, count=len(mappings) * layers).reshape(
-        len(mappings), layers
-    )
+def _check_unit_ids(units, num_units: int) -> None:
+    """Raise `MappingError` naming the first of the sequence `units` that is
+    not a member of range(num_units), so 1.5 and '1' fail as 3 and -1 do."""
+    ids = frozenset(range(num_units))
+    if not ids.issuperset(units):
+        bad = next(u for u in units if u not in ids)
+        raise MappingError(f"unit id {bad} out of range")
+
+
+def _unit_rows(mappings: list[Mapping], layers: int, num_units: int) -> np.ndarray:
+    """The (len(mappings), layers) array of the units of `mappings`, ids checked
+    to be in range(num_units): one row per mapping, flat in mix order."""
+    flat = list(itertools.chain.from_iterable(a for m in mappings for a in m.assignments))
+    _check_unit_ids(flat, num_units)
+    return np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(len(mappings), layers)
 
 
 def simulate_batch(
@@ -208,58 +223,38 @@ def simulate_batch(
         shape = [len(a) for a in mapping.assignments]
         if shape != counts:
             raise MappingError(f"mapping has models of {shape} layers, workload has {counts}")
-    if not mappings:
-        return np.empty(0)
-    a = _unit_rows(mappings, sum(counts))
-    bad = a[(a < 0) | (a >= profile.num_units)]
-    if bad.size:
-        raise MappingError(f"unit id {bad[0]} out of range")
+    a = _unit_rows(mappings, sum(counts), profile.num_units)
     lengths = np.array(counts)
     n, m, width = len(a), len(workload), int(lengths.max())
 
-    # (layer, mapping, model) arrays: units, costs, stage starts and ends
+    # (layer, mapping, model) arrays: units, costs, stage starts past layer 0, stage ends
     valid = np.arange(width) < lengths[:, None]
     units = np.zeros((n, m, width), dtype=np.intp)
     units[:, valid] = a
     units = units.transpose(2, 0, 1)
     table = profile.cost_array[list(workload.model_indices)]
     costs = table[np.arange(m), units, np.arange(width)[:, None, None]]
-    start = np.ones((width, n, m), dtype=bool)
+    start = np.zeros((width, n, m), dtype=bool)
     start[1:] = units[1:] != units[:-1]
     end = np.zeros((width, n, m), dtype=bool)
     end[:-1] = start[1:]
     end[lengths - 1, :, np.arange(m)] = True
     end &= valid.T[:, None, :]
 
-    # step 1: stage costs, each the left-to-right sum of its layers' costs
+    # step 1: stage costs, summed left to right, plus transfers past a model's first stage
     stage_cost = np.empty((width, n, m))
     acc = stage_cost[0] = costs[0]
     for l in range(1, width):
         acc = stage_cost[l] = np.where(start[l], costs[l], acc + costs[l])
-    index = np.cumsum(start, axis=0) - 1
-    eff = stage_cost + np.where(index > 0, profile.transfer_ms, 0.0)
+    eff = stage_cost + np.where(np.logical_or.accumulate(start), profile.transfer_ms, 0.0)
 
-    # (mapping, model, stage) arrays, padded with 0 ms stages on unit 0
-    ll, nn, mm = np.nonzero(end)
-    kk = index[ll, nn, mm]
-    stage_time = np.zeros((n, m, kk.max() + 1))
-    stage_time[nn, mm, kk] = eff[ll, nn, mm]
-    stage_unit = np.zeros((n, m, kk.max() + 1), dtype=np.intp)
-    stage_unit[nn, mm, kk] = units[ll, nn, mm]
-
-    # steps 2-4, 7
-    rate = 1000.0 / stage_time.max(axis=2)
+    # steps 2-4, 7, over the stage ends in (mapping, model, layer) order
+    rate = 1000.0 / np.where(end, eff, 0.0).max(axis=0)
+    nn, mm, ll = np.nonzero(end.transpose(1, 2, 0))
     raw_load = np.zeros((n, profile.num_units))
-    rows = np.arange(n)
-    for j in range(m):
-        for k in range(stage_time.shape[2]):
-            raw_load[rows, stage_unit[:, j, k]] += rate[:, j] * stage_time[:, j, k] / 1000.0
+    np.add.at(raw_load, (nn, units[ll, nn, mm]), rate[nn, mm] * eff[ll, nn, mm] / 1000.0)
     theta = np.minimum(1.0, 1.0 / raw_load.max(axis=1))
-    x = theta[:, None] * rate
-    total = x[:, 0]
-    for j in range(1, m):
-        total = total + x[:, j]
-    return total / m
+    return np.add.accumulate(theta[:, None] * rate, axis=1)[:, -1] / m
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +403,8 @@ def _mapping_from_dict(
 
 
 def load_mapping(path: str | Path, profile: DeviceProfile) -> tuple[Workload, Mapping]:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"mapping file not found: {p}")
-    data = json.loads(p.read_text())
-    _check_keys(data, ("workload", "assignments"), str(p), MappingError)
-    workload, mapping = _mapping_from_dict(data, profile, str(p))
+    data = _read_json(path, "mapping", MappingError)
+    _check_keys(data, ("workload", "assignments"), str(path), MappingError)
+    workload, mapping = _mapping_from_dict(data, profile, str(path))
     validate_mapping(mapping, profile, workload)
     return workload, mapping

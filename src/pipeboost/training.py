@@ -25,7 +25,7 @@ from .simulator import (
     random_mapping_rng,
     simulate,
 )
-from .workload import DeviceProfile, Workload, _check_keys, _float, _typed
+from .workload import DeviceProfile, Workload, _check_keys, _float, _read_json, _typed
 
 
 # Adam's step size, moment decay rates and the guard added to its denominator.
@@ -237,15 +237,12 @@ def save_dataset(samples: list[Sample], profile: DeviceProfile, path: str | Path
 
 
 def load_dataset(path: str | Path, profile: DeviceProfile) -> list[Sample]:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"dataset file not found: {p}")
-    data = json.loads(p.read_text())
-    _check_keys(data, ("samples",), str(p), DatasetError)
+    data = _read_json(path, "dataset", DatasetError)
+    _check_keys(data, ("samples",), str(path), DatasetError)
     embedding = build_embedding(profile)
     samples = []
-    for i, row in enumerate(_typed(data["samples"], list, f"{p}: samples", DatasetError)):
-        ctx = f"{p}: samples[{i}]"
+    for i, row in enumerate(_typed(data["samples"], list, f"{path}: samples", DatasetError)):
+        ctx = f"{path}: samples[{i}]"
         _check_keys(row, ("workload", "assignments", "target_raw"), ctx, DatasetError)
         workload, mapping = _mapping_from_dict(row, profile, ctx, DatasetError)
         target = _typed(row["target_raw"], list, f"{ctx}: target_raw", DatasetError)

@@ -464,12 +464,17 @@ def save_profile(profile: DeviceProfile, path: str | Path) -> None:
     Path(path).write_text(json.dumps(profile_to_dict(profile), indent=2) + "\n")
 
 
-def load_profile(path: str | Path) -> DeviceProfile:
+def _read_json(path: str | Path, kind: str, error: type[ValueError]):
+    """The JSON value in the `kind` file at `path`, for every JSON loader: a
+    missing file raises `FileNotFoundError`, text not UTF-8 JSON `error`."""
     p = Path(path)
     if not p.exists():
-        raise FileNotFoundError(f"profile file not found: {p}")
+        raise FileNotFoundError(f"{kind} file not found: {path}")
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ProfileError(f"{p}: invalid JSON ({e})") from None
-    return profile_from_dict(data)
+        return json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise error(f"{path}: invalid JSON ({e})") from None
+
+
+def load_profile(path: str | Path) -> DeviceProfile:
+    return profile_from_dict(_read_json(path, "profile", ProfileError))

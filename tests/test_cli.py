@@ -302,6 +302,26 @@ def test_profile_with_bad_value_is_a_clean_error(cli_workspace, capsys, tmp_path
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [b"{not json", b"\xff{}"], ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("loader", ["profile", "mapping", "dataset"])
+def test_unreadable_json_names_the_file(cli_workspace, capsys, tmp_path, loader, text):
+    files = {
+        "profile": cli_workspace / "profile.json",
+        "mapping": tmp_path / "mapping.json",
+        "dataset": cli_workspace / "dataset.json",
+    }
+    files["mapping"].write_text(json.dumps({"workload": ["net00"], "assignments": [[0] * 6]}))
+    bad = files[loader] = tmp_path / f"bad-{loader}.json"
+    bad.write_bytes(text)
+    if loader == "dataset":
+        argv = ["train", "--dataset", str(bad), "--epochs", "1", "--out", str(tmp_path / "w.bin")]
+    else:
+        argv = ["simulate", "--mapping", str(files["mapping"])]
+    code, _, err = run(capsys, *argv, "--profile", str(files["profile"]))
+    assert code == 1
+    assert err.startswith(f"error: {bad}: invalid JSON")
+
+
 def test_non_finite_weights_are_a_clean_error(cli_workspace, capsys, tmp_path):
     # NaN weights would score every mapping NaN, so no search could pick one
     raw = bytearray((cli_workspace / "weights.bin").read_bytes())

@@ -64,6 +64,7 @@ def test_forward_shapes_and_batching():
     out5 = net.forward(batch)
     assert out1.shape == (3,)  # single inputs are unwrapped
     assert out5.shape == (5, 3)
+    assert net.forward(batch[:0]).shape == (0, 3)
     # batch processing must agree with one-at-a-time processing, bit for bit
     assert np.array_equal(out5, np.stack([net.forward(batch[i]) for i in range(5)]))
 

@@ -160,7 +160,10 @@ def test_validate_mapping_errors(tiny_profile):
 
 @pytest.mark.parametrize(
     "second, bad",
-    [((2, 3), 3), ((-1, 0), -1), ((1, -2), -2), ((3, -1), 3), ((-4, 5), -4)],
+    [
+        ((2, 3), 3), ((-1, 0), -1), ((1, -2), -2), ((3, -1), 3), ((-4, 5), -4),
+        ((1.5, 0), 1.5), ((0, "1"), "1"), (("1", 3), "1"),  # ids are members of range(3)
+    ],
 )
 def test_validate_mapping_names_the_first_bad_unit(tiny_profile, second, bad):
     # the second model's units are checked after the first model's are found good
@@ -266,11 +269,46 @@ def test_simulate_batch_rejects_bad_mappings(tiny_profile):
         (Mapping(((0, 1, 2), (1,))), "layers"),  # a layer short
         (Mapping(((0, 1, 3), (1, 1))), "^unit id 3 out of range$"),
         (Mapping(((0, 1, 2), (1, -1))), "^unit id -1 out of range$"),
+        (Mapping(((0, 1.5, 2), (1, 1))), r"^unit id 1\.5 out of range$"),  # not unit 1
+        (Mapping(((0, 1, 2), ("1", 1))), "^unit id 1 out of range$"),
     ):
         with pytest.raises(MappingError, match=match):
             simulate_batch(wl, [good, bad], tiny_profile)
     with pytest.raises(ValueError):
         simulate_batch(Workload(()), [Mapping(())], tiny_profile)
+
+
+def test_simulate_batch_adds_each_units_stages_in_simulates_order():
+    # Both models run on units 0, 1, 0, 1, 0, so unit 0 holds three stages of
+    # each. These costs make unit 0's load, and so theta, depend on the order
+    # of its six additions: one unit's stages must be added in (model, stage)
+    # order, as `simulate` does, not in layer order, and none may be dropped.
+    from pipeboost.workload import (
+        ComputeUnit, DeviceProfile, DnnModel, KernelProfile, LayerFeatures, LayerSpec, UnitKind,
+    )
+
+    def model(name, times):
+        return DnnModel(name, tuple(
+            LayerSpec(f"{name}{l}", (KernelProfile("k", {0: t0, 1: t1, 2: 9.0}),),
+                      LayerFeatures("conv", 1, 1, 1))
+            for l, (t0, t1) in enumerate(times)
+        ))
+
+    profile = DeviceProfile(
+        units=tuple(ComputeUnit(i, k.value, k) for i, k in enumerate(UnitKind)),
+        models=(
+            model("a", [(3.7, 0.7), (0.7, 0.7), (1.1, 0.1), (0.2, 0.3), (0.2, 1.3)]),
+            model("b", [(0.7, 1.1), (3.7, 2.9), (3.7, 0.7), (2.9, 0.3), (1.3, 0.2)]),
+        ),
+        transfer_ms=0.0,
+    )
+    wl = Workload((0, 1))
+    maps = [
+        Mapping(((0, 1, 0, 1, 0), (0, 1, 0, 1, 0))),
+        Mapping(((0, 0, 0, 0, 0), (1, 0, 1, 0, 1))),
+    ]
+    want = [simulate(wl, m, profile).avg_throughput for m in maps]
+    assert np.array_equal(simulate_batch(wl, maps, profile), want)
 
 
 # ------------------------------------------------------------ fuzz oracle
