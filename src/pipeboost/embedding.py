@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .simulator import Mapping, _unit_rows, validate_mapping
+from .simulator import Mapping, _unit_ids
 from .workload import DeviceProfile, Workload
 
 
@@ -48,14 +48,14 @@ def mapped_inputs(
 ) -> np.ndarray:
     """The net inputs of `mappings` of one mix, stacked and read-only: each
     mapping's (unit, model, layer) cells are copied from the embedding by one
-    gather, and every other cell is 0.0."""
-    for mapping in mappings:
-        validate_mapping(mapping, profile, workload)
+    gather, and every other cell is 0.0. Each mapping is checked by
+    `validate_mapping`'s rule, in one pass over the batch."""
+    flat = _unit_ids(mappings, profile, workload)
     want = (profile.num_units, len(profile.models), profile.max_layers)
     if embedding.shape != want:
         raise ValueError(f"shape mismatch: embedding {embedding.shape}, profile {want}")
     counts = tuple(profile.models[i].num_layers for i in workload.model_indices)
-    units = _unit_rows(mappings, sum(counts), profile.num_units)
+    units = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(len(mappings), sum(counts))
     cells = units * embedding[0].size + _cells(workload.model_indices, counts, embedding.shape[2])
     out = np.zeros((len(mappings), embedding.size))
     out[np.arange(len(mappings))[:, None], cells] = embedding.reshape(-1)[cells]

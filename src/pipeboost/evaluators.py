@@ -4,11 +4,8 @@ Both searchers only need `score(workload, mapping) -> float in [0, 1]`
 (higher is better). The estimator-backed evaluator is the default, as in
 the paper, where the net stands in for measuring each mapping on the board.
 The simulator-backed one scores with the analytic pipeline model that also
-labels the estimator's training data: it is exact for that model, and
-faster than the net (one mapping of a 5-model mix of an 11-model profile on
-a 2-core x86-64 VM, one BLAS thread: about 30-45 us for
-`SimulatorEvaluator.score`, 320-570 us for `EstimatorEvaluator.score`, most
-of it the batch-1 net forward pass), so it serves oracle experiments.
+labels the estimator's training data: it is exact for that model and much
+faster than the net's forward pass, so it serves oracle experiments.
 """
 
 from __future__ import annotations

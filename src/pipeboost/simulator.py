@@ -33,9 +33,7 @@ rate is 1000 / the max of its stage ends' times. Each unit's load is one
 `ufunc.at` applies repeated indices one by one in the order given, so each
 unit adds its stages in `simulate`'s (model, stage) order, where a buffered
 `raw_load[rows, units] += ...` would keep only the last. `np.add.accumulate`
-along the models then adds them one by one, as `sum` does. The batch path
-was timed on numpy 2.4.6; `ufunc.at` is much slower before numpy 1.25,
-which the `numpy>=1.24` of `pyproject.toml` still allows.
+along the models then adds them one by one, as `sum` does.
 """
 
 from __future__ import annotations
@@ -101,20 +99,39 @@ class ThroughputReport:
 def validate_mapping(
     mapping: Mapping, profile: DeviceProfile, workload: Workload
 ) -> None:
+    """Raise `MappingError` unless `mapping` fits `workload` on `profile`: one
+    assignment per model, one unit id per layer, and each id an `int` in
+    range(num_units) (`True` is unit 1, as in tuple indexing; `1.0` and
+    `np.int64(1)` are refused). The rule of every scoring entry."""
+    _unit_ids([mapping], profile, workload)
+
+
+def _unit_ids(mappings: list[Mapping], profile: DeviceProfile, workload: Workload) -> list:
+    """The unit ids of `mappings`, flat in mix order, once all pass the rule of
+    `validate_mapping`. It checks, in order: the workload, each mapping's shape
+    (naming the first wrong model), then the ids (naming the first bad one)."""
     workload.validate_for(profile)
-    if len(mapping.assignments) != len(workload):
-        raise MappingError(
-            f"mapping has {len(mapping.assignments)} models, workload has {len(workload)}"
-        )
-    for pos, model_idx in enumerate(workload.model_indices):
-        model = profile.models[model_idx]
-        assignment = mapping.assignments[pos]
-        if len(assignment) != model.num_layers:
-            raise MappingError(
-                f"model {model.name!r}: {len(assignment)} assignments "
-                f"for {model.num_layers} layers"
-            )
-        _check_unit_ids(assignment, profile.num_units)
+    counts = [profile.models[i].num_layers for i in workload.model_indices]
+    flat = []
+    for mapping in mappings:
+        shape = list(map(len, mapping.assignments))
+        if shape != counts:
+            if len(shape) != len(counts):
+                raise MappingError(
+                    f"mapping has {len(shape)} models, "
+                    f"workload has {len(counts)} models of {counts} layers"
+                )
+            pos = next(p for p, (n, k) in enumerate(zip(shape, counts)) if n != k)
+            name = profile.models[workload.model_indices[pos]].name
+            raise MappingError(f"model {name!r}: {shape[pos]} assignments for {counts[pos]} layers")
+        for assignment in mapping.assignments:
+            flat += assignment
+    # the membership test first, so that the sum meets only numbers equal to ids
+    ids = frozenset(range(profile.num_units))
+    if not ids.issuperset(flat) or type(sum(flat)) is not int:
+        bad = next(u for u in flat if u not in ids or not isinstance(u, int))
+        raise MappingError(f"unit id {bad} out of range")
+    return flat
 
 
 def stage_bounds(assignment: tuple[int, ...] | list[int]) -> list[tuple[int, int, int]]:
@@ -192,39 +209,17 @@ def simulate(
     )
 
 
-def _check_unit_ids(units, num_units: int) -> None:
-    """Raise `MappingError` naming the first of the sequence `units` that is
-    not a member of range(num_units), so 1.5 and '1' fail as 3 and -1 do."""
-    ids = frozenset(range(num_units))
-    if not ids.issuperset(units):
-        bad = next(u for u in units if u not in ids)
-        raise MappingError(f"unit id {bad} out of range")
-
-
-def _unit_rows(mappings: list[Mapping], layers: int, num_units: int) -> np.ndarray:
-    """The (len(mappings), layers) array of the units of `mappings`, ids checked
-    to be in range(num_units): one row per mapping, flat in mix order."""
-    flat = list(itertools.chain.from_iterable(a for m in mappings for a in m.assignments))
-    _check_unit_ids(flat, num_units)
-    return np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(len(mappings), layers)
-
-
 def simulate_batch(
     workload: Workload, mappings: list[Mapping], profile: DeviceProfile
 ) -> np.ndarray:
     """`simulate(...).avg_throughput` of each of `mappings` of one workload.
-    Bit-identical to `simulate`; see the module docstring. The shape and
-    range checks of `validate_mapping` are made once for the whole batch."""
+    Bit-identical to `simulate`; see the module docstring. Each mapping is
+    checked by `validate_mapping`'s rule, in one pass over the batch."""
     if len(workload) == 0:
         raise ValueError("cannot simulate an empty workload")
-    workload.validate_for(profile)
-    counts = [profile.models[i].num_layers for i in workload.model_indices]
-    for mapping in mappings:
-        shape = [len(a) for a in mapping.assignments]
-        if shape != counts:
-            raise MappingError(f"mapping has models of {shape} layers, workload has {counts}")
-    a = _unit_rows(mappings, sum(counts), profile.num_units)
-    lengths = np.array(counts)
+    flat = _unit_ids(mappings, profile, workload)
+    lengths = np.array([profile.models[i].num_layers for i in workload.model_indices])
+    a = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(len(mappings), lengths.sum())
     n, m, width = len(a), len(workload), int(lengths.max())
 
     # (layer, mapping, model) arrays: units, costs, stage starts past layer 0, stage ends

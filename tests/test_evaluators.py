@@ -2,12 +2,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipeboost.baselines import gpu_only
+from pipeboost.embedding import mapped_inputs
 from pipeboost.errors import MappingError
 from pipeboost.estimator import EstimatorNet
 from pipeboost.evaluators import EstimatorEvaluator, SimulatorEvaluator
-from pipeboost.simulator import Mapping, random_mapping_rng, simulate
+from pipeboost.simulator import (
+    Mapping, random_mapping_rng, simulate, simulate_batch, validate_mapping,
+)
 from pipeboost.workload import Workload
 
 
@@ -49,6 +54,50 @@ def test_simulator_evaluator_batch_checks_each_model_length(tiny_profile):
     for bad in (swapped, Mapping(((0, 1, 2, 1, 1),)), Mapping(((0, 1, 2), (1, 3)))):
         with pytest.raises(MappingError):
             ev.score_batch(wl, [good, bad])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(["models", "layers", "range", 1.0, 1.5, "1", True, np.int64(1)]),
+)
+def test_every_entry_gives_a_mapping_one_answer(gen_profile, quick_net, rng, change):
+    # a valid mapping changed in one way: every entry accepts it, with equal
+    # throughputs, or every entry raises the same MappingError
+    wl = Workload(tuple(rng.sample(range(len(gen_profile.models)), rng.randint(1, 4))))
+    valid = random_mapping_rng(wl, gen_profile, 3, rng)
+    rows = [list(a) for a in valid.assignments]
+    pos = rng.randrange(len(rows))
+    if change == "models":  # drop or repeat one model's row
+        rows[pos:pos + 1] = [] if rng.random() < 0.5 else [rows[pos]] * 2
+    elif change == "layers":  # drop or repeat its last layer
+        rows[pos][-1:] = [] if rng.random() < 0.5 else rows[pos][-1:] * 2
+    else:
+        n = gen_profile.num_units
+        bad = rng.choice([-1, n, n + 1]) if change == "range" else change
+        rows[pos][rng.randrange(len(rows[pos]))] = bad
+    mapping = Mapping(tuple(map(tuple, rows)))
+    sim, est = SimulatorEvaluator(gen_profile), EstimatorEvaluator(quick_net, gen_profile)
+    entries = {
+        "validate_mapping": lambda: validate_mapping(mapping, gen_profile, wl),
+        "simulate": lambda: simulate(wl, mapping, gen_profile).avg_throughput,
+        "simulate_batch": lambda: simulate_batch(wl, [valid, mapping], gen_profile)[1],
+        "mapped_inputs": lambda: mapped_inputs(est.embedding, wl, [valid, mapping], gen_profile),
+        "sim.score": lambda: sim.score(wl, mapping),
+        "sim.score_batch": lambda: sim.score_batch(wl, [valid, mapping]),
+        "est.score": lambda: est.score(wl, mapping),
+        "est.score_batch": lambda: est.score_batch(wl, [valid, mapping]),
+    }
+    answers, errors = {}, {}
+    for name, entry in entries.items():
+        try:
+            answers[name] = entry()
+        except MappingError as e:
+            errors[name] = str(e)
+    if errors:
+        assert len(errors) == len(entries) and len(set(errors.values())) == 1, errors
+    else:
+        assert answers["simulate_batch"] == answers["simulate"]
 
 
 def test_estimator_evaluator_requires_training(gen_profile):

@@ -163,6 +163,7 @@ def test_validate_mapping_errors(tiny_profile):
     [
         ((2, 3), 3), ((-1, 0), -1), ((1, -2), -2), ((3, -1), 3), ((-4, 5), -4),
         ((1.5, 0), 1.5), ((0, "1"), "1"), (("1", 3), "1"),  # ids are members of range(3)
+        ((1.0, 0), 1.0), ((np.int64(1), 0), np.int64(1)),  # ... and ints
     ],
 )
 def test_validate_mapping_names_the_first_bad_unit(tiny_profile, second, bad):
@@ -170,6 +171,16 @@ def test_validate_mapping_names_the_first_bad_unit(tiny_profile, second, bad):
     wl = Workload((0, 1))
     with pytest.raises(MappingError, match=rf"^unit id {bad} out of range$"):
         validate_mapping(Mapping(((0, 1, 2), second)), tiny_profile, wl)
+
+
+def test_simulate_refuses_a_float_unit_id(tiny_profile):
+    # 1.0 == 1 is a member of range(3), but not an int
+    wl = Workload((0, 1))
+    with pytest.raises(MappingError, match=r"^unit id 1\.0 out of range$"):
+        simulate(wl, Mapping(((0, 1.0, 2), (1, 1))), tiny_profile)
+    # True is unit 1 everywhere, as in tuple indexing
+    want = simulate(wl, Mapping(((0, 1, 2), (1, 1))), tiny_profile)
+    assert simulate(wl, Mapping(((0, True, 2), (1, 1))), tiny_profile) == want
 
 
 # ------------------------------------------------------- Stage reference
@@ -271,6 +282,8 @@ def test_simulate_batch_rejects_bad_mappings(tiny_profile):
         (Mapping(((0, 1, 2), (1, -1))), "^unit id -1 out of range$"),
         (Mapping(((0, 1.5, 2), (1, 1))), r"^unit id 1\.5 out of range$"),  # not unit 1
         (Mapping(((0, 1, 2), ("1", 1))), "^unit id 1 out of range$"),
+        (Mapping(((0, 1.0, 2), (1, 1))), r"^unit id 1\.0 out of range$"),  # not unit 1
+        (Mapping(((0, 1, 2), (np.int64(1), 1))), "^unit id 1 out of range$"),
     ):
         with pytest.raises(MappingError, match=match):
             simulate_batch(wl, [good, bad], tiny_profile)
