@@ -25,6 +25,7 @@ from .simulator import (
     simulate,
     simulate_batch,
     stage_bounds,
+    validate_mapping,
 )
 from .workload import DeviceProfile, DnnModel, Workload
 
@@ -249,12 +250,6 @@ def ga_schedule(
     rng = random.Random(config.seed)
     getrandbits, draw = rng.getrandbits, rng.random
 
-    def to_mapping(genes: list[int]) -> Mapping:
-        return Mapping(assignments=tuple(tuple(genes[s:e]) for s, e, _ in spans))
-
-    def evaluate(pop: list[list[int]]) -> list[float]:
-        return evaluator.score_batch(workload, [to_mapping(g) for g in pop]).tolist()
-
     def tournament(fitness: list[float]) -> list[int]:
         """Best of k drawn indices by fitness, the lower index on a tie."""
         best = randbelow(getrandbits, size)
@@ -269,7 +264,7 @@ def ga_schedule(
         for _ in range(size)
     ]
     for _ in range(config.generations):
-        fitness = evaluate(population)
+        fitness = evaluator.score_rows(workload, population).tolist()
         order = sorted(range(size), key=lambda i: (-fitness[i], i))
         nxt = [list(population[i]) for i in order[: config.elitism]]
         while len(nxt) < size:
@@ -284,6 +279,8 @@ def ga_schedule(
             nxt.append(child)
         population = nxt
 
-    fitness = evaluate(population)
-    best = max(range(size), key=lambda i: (fitness[i], -i))
-    return to_mapping(population[best])
+    fitness = evaluator.score_rows(workload, population).tolist()
+    genes = population[max(range(size), key=lambda i: (fitness[i], -i))]
+    best = Mapping(tuple(tuple(genes[s:e]) for s, e, _ in spans))
+    validate_mapping(best, profile, workload)
+    return best

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .simulator import Mapping, _unit_ids
+from .simulator import Mapping, _id_rows, _unit_ids
 from .workload import DeviceProfile, Workload
 
 
@@ -50,13 +50,19 @@ def mapped_inputs(
     mapping's (unit, model, layer) cells are copied from the embedding by one
     gather, and every other cell is 0.0. Each mapping is checked by
     `validate_mapping`'s rule, in one pass over the batch."""
-    flat = _unit_ids(mappings, profile, workload)
+    rows = _id_rows(_unit_ids(mappings, profile, workload), len(mappings), workload, profile)
     want = (profile.num_units, len(profile.models), profile.max_layers)
     if embedding.shape != want:
         raise ValueError(f"shape mismatch: embedding {embedding.shape}, profile {want}")
+    return _gather(embedding, workload, rows, profile)
+
+
+def _gather(embedding: np.ndarray, workload: Workload, rows, profile: DeviceProfile) -> np.ndarray:
+    """`mapped_inputs` of `rows`, unchecked: `rows` holds legal unit ids flat in
+    mix order, a mapping a row, as an (N, L) array or N lists."""
+    units = np.asarray(rows, dtype=np.intp)
     counts = tuple(profile.models[i].num_layers for i in workload.model_indices)
-    units = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(len(mappings), sum(counts))
     cells = units * embedding[0].size + _cells(workload.model_indices, counts, embedding.shape[2])
-    out = np.zeros((len(mappings), embedding.size))
-    out[np.arange(len(mappings))[:, None], cells] = embedding.reshape(-1)[cells]
-    return _freeze(out.reshape(len(mappings), *embedding.shape))
+    out = np.zeros((len(units), embedding.size))
+    out[np.arange(len(units))[:, None], cells] = embedding.reshape(-1)[cells]
+    return _freeze(out.reshape(len(units), *embedding.shape))

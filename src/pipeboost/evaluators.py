@@ -1,11 +1,14 @@
 """Scalar mapping evaluators shared by the search algorithms.
 
-Both searchers only need `score(workload, mapping) -> float in [0, 1]`
-(higher is better). The estimator-backed evaluator is the default, as in
-the paper, where the net stands in for measuring each mapping on the board.
-The simulator-backed one scores with the analytic pipeline model that also
-labels the estimator's training data: it is exact for that model and much
-faster than the net's forward pass, so it serves oracle experiments.
+Each evaluator scores mappings of one mix in [0, 1] (higher is better) by
+two protocols with the same floats. Callers use `score` and `score_batch`,
+which check each mapping as `validate_mapping` does. The searches use
+`score_ids` and `score_rows` on unit ids flat in mix order, unchecked:
+`legal_units` and `merge_to_limit` make them legal, and each search checks
+the one mapping it returns. The estimator-backed evaluator is the default,
+as in the paper, where the net stands in for measuring each mapping on the
+board. The simulator-backed one scores with the analytic model that labels
+the net's training data: exact for it and much faster, for oracle runs.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import gpu_only
-from .embedding import build_embedding, mapped_inputs
+from .embedding import _gather, build_embedding, mapped_inputs
 from .estimator import EstimatorNet
-from .simulator import Mapping, simulate, simulate_batch
+from .simulator import (
+    Mapping, _avg_throughput, _simulated_ids, _throughput_rows, simulate, simulate_batch,
+)
 from .workload import DeviceProfile, Workload
 
 
@@ -38,9 +43,16 @@ class EstimatorEvaluator:
         return float(self.score_batch(workload, [mapping])[0])
 
     def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
-        xs = mapped_inputs(self.embedding, workload, mappings, self.profile)
-        pred = np.clip(self.net.forward(xs), 0.0, 1.0)
-        return pred.mean(axis=1)
+        return self._readout(mapped_inputs(self.embedding, workload, mappings, self.profile))
+
+    def score_ids(self, workload: Workload, ids: list[int]) -> float:
+        return float(self.score_rows(workload, [ids])[0])
+
+    def score_rows(self, workload: Workload, rows) -> np.ndarray:
+        return self._readout(_gather(self.embedding, workload, rows, self.profile))
+
+    def _readout(self, xs: np.ndarray) -> np.ndarray:
+        return np.clip(self.net.forward(xs), 0.0, 1.0).mean(axis=1)
 
 
 class SimulatorEvaluator:
@@ -57,20 +69,24 @@ class SimulatorEvaluator:
         self.profile = profile
         self._ref: dict[Workload, float] = {}
 
-    def _reference(self, workload: Workload) -> float:
+    def _squash(self, workload: Workload, t):
+        """T / (T + T_ref) of throughput `t` of a mapping of `workload`."""
         ref = self._ref.get(workload)
         if ref is None:
-            ref = simulate(
-                workload, gpu_only(workload, self.profile), self.profile
-            ).avg_throughput
-            self._ref[workload] = ref
-        return ref
+            gpu = gpu_only(workload, self.profile)
+            ref = self._ref[workload] = simulate(workload, gpu, self.profile).avg_throughput
+        return t / (t + ref)
 
     def score(self, workload: Workload, mapping: Mapping) -> float:
-        t = simulate(workload, mapping, self.profile).avg_throughput
-        return t / (t + self._reference(workload))
+        """`score_ids` of `mapping` once it passes `simulate`'s checks."""
+        return self.score_ids(workload, _simulated_ids(workload, [mapping], self.profile))
 
     def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
         """`score` of each mapping, through one `simulate_batch` call."""
-        t = simulate_batch(workload, mappings, self.profile)
-        return t / (t + self._reference(workload))
+        return self._squash(workload, simulate_batch(workload, mappings, self.profile))
+
+    def score_ids(self, workload: Workload, ids: list[int]) -> float:
+        return self._squash(workload, _avg_throughput(workload, ids, self.profile))
+
+    def score_rows(self, workload: Workload, rows) -> np.ndarray:
+        return self._squash(workload, _throughput_rows(workload, rows, self.profile))

@@ -5,16 +5,17 @@ assigns the next layer to one of the compute units, and only units that
 keep the model within the stage limit are offered, so every path ends in a
 complete, valid mapping. A complete mapping is scored 1 + the evaluator's
 [0,1] scalar. The returned mapping is the best one seen anywhere during the
-search.
+search, checked once by `validate_mapping`.
 
 The search runs on a flat path: a tree node holds only its unit, children,
 untried units and statistics. Each iteration replays its path from the root
 onto one flat list of the mix's layer units, counting the current model's
-stages, and `rollout` continues that list. The tree and the rollout read
-legal units from one table, `legal_units`. `SearchState`, `initial_state`,
-`actions` and `apply` are the same rules one move at a time, the reference
-the tests hold the flat path to; no workflow calls them, and they stay in
-the package because `bench/test_bench_helpers.py` pins `mcts.apply`.
+stages, `rollout` continues that list, and the evaluator's unchecked
+`score_ids` scores it. The tree and the rollout read legal units from one
+table, `legal_units`. `SearchState`, `initial_state`, `actions` and `apply`
+are the same rules one move at a time, the reference the tests hold the
+flat path to; no workflow calls them, and they stay in the package because
+`bench/test_bench_helpers.py` pins `mcts.apply`.
 
 The rollout's moves are the search's only random draws. Each runs the loop
 of `simulator.randbelow`, the one behind `Random.choice`, with its k kept in
@@ -31,7 +32,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 
-from .simulator import Mapping
+from .simulator import Mapping, validate_mapping
 from .workload import DeviceProfile, Workload
 
 UCT_C = math.sqrt(2)
@@ -210,7 +211,7 @@ def schedule(
     legal = legal_units(profile.num_units, config.stage_limit, max(counts))
     rng = random.Random(config.seed)
     root = _Node(None, list(legal[0, None][0]))
-    best_reward, best_mapping = -math.inf, None
+    score_ids, best_reward, best_units = evaluator.score_ids, -math.inf, None
     t0 = time.perf_counter()
 
     for _ in range(config.budget):
@@ -229,13 +230,14 @@ def schedule(
         if node is not path[-1] and len(units) < ends[-1]:  # a new node's untried units
             path[-1].untried = list(legal[key][0])
         rollout(units, key[0], spans, legal, rng, config)
-        mapping = Mapping(tuple(tuple(units[s:e]) for s, e in spans))
-        reward = evaluate_terminal(workload, mapping, evaluator)
+        reward = 1.0 + score_ids(workload, units)
         if reward > best_reward:
-            best_reward, best_mapping = reward, mapping
+            best_reward, best_units = reward, units
         for n in path:
             n.visits += 1
             n.value += reward
 
     ms = (time.perf_counter() - t0) * 1000.0
+    best_mapping = Mapping(tuple(tuple(best_units[s:e]) for s, e in spans))
+    validate_mapping(best_mapping, profile, workload)
     return best_mapping, {"iterations": config.budget, "best_reward": best_reward, "elapsed_ms": ms}

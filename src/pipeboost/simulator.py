@@ -20,20 +20,17 @@ A stage's cost(s) is the Python `sum` of its layers' entries in
 `profile.layer_costs`, taken in layer order. Prefix sums would make each
 stage two lookups, but `P[e] - P[s]` rounds differently from the sum, and
 the searches compare near-equal scores, so a last-digit change can change
-the mapping they pick.
+the mapping they pick. `simulate` and the unchecked scalar core the
+evaluators score with share one stage walk, so both give the same T.
 
-`simulate_batch` scores many mappings of one workload at once and returns
-the same `avg_throughput` floats bit for bit. It does every float operation
-of `simulate` in the same order, only across the batch at once, on
-(layer, mapping, model) arrays. A stage cost is accumulated layer by layer
-from the first layer of its run (no prefix sums, no numpy `.sum()`, which
-sums pairwise) and is read at the stage's end, its last layer; a model's
-rate is 1000 / the max of its stage ends' times. Each unit's load is one
-`np.add.at` over the stage ends listed in (mapping, model, layer) order:
-`ufunc.at` applies repeated indices one by one in the order given, so each
-unit adds its stages in `simulate`'s (model, stage) order, where a buffered
-`raw_load[rows, units] += ...` would keep only the last. `np.add.accumulate`
-along the models then adds them one by one, as `sum` does.
+`simulate_batch` and its unchecked core return the same T bit for bit: they
+do `simulate`'s float operations in its order on (layer, mapping, model)
+arrays. A stage cost accumulates layer by layer from its run's first layer
+(no prefix sums, no pairwise numpy `.sum()`) and is read at the stage's last
+layer. Each unit's load is one `np.add.at` over the stage ends in (mapping,
+model, layer) order, which adds repeated indices one by one in `simulate`'s
+(model, stage) order, where a buffered `+=` would keep only the last;
+`np.add.accumulate` then adds the models one by one, as `sum` does.
 """
 
 from __future__ import annotations
@@ -130,7 +127,7 @@ def _unit_ids(mappings: list[Mapping], profile: DeviceProfile, workload: Workloa
     ids = frozenset(range(profile.num_units))
     if not ids.issuperset(flat) or type(sum(flat)) is not int:
         bad = next(u for u in flat if u not in ids or not isinstance(u, int))
-        raise MappingError(f"unit id {bad} out of range")
+        raise MappingError(f"unit id {bad!r} out of range")
     return flat
 
 
@@ -170,35 +167,47 @@ def stages_of(
     return per_model
 
 
-def simulate(
-    workload: Workload, mapping: Mapping, profile: DeviceProfile
-) -> ThroughputReport:
-    """Score a mapping; deterministic and pure. See the module docstring."""
+def _simulated_ids(workload: Workload, mappings: list[Mapping], profile: DeviceProfile) -> list:
+    """`_unit_ids` for the simulator's entries, which refuse an empty workload first."""
     if len(workload) == 0:
         raise ValueError("cannot simulate an empty workload")
-    validate_mapping(mapping, profile, workload)
+    return _unit_ids(mappings, profile, workload)
 
-    # steps 1-3: effective stage times, standalone bottleneck rates, raw unit load
+
+def _stage_walk(workload: Workload, ids: list, profile: DeviceProfile):
+    """Steps 1-4 of legal unit ids flat in mix order, unchecked: each model's
+    stages as (unit, effective time), the rates, the raw unit loads, theta."""
     raw_load = [0.0] * profile.num_units
-    rates, units_used = [], []
-    for pos, model_idx in enumerate(workload.model_indices):
+    per_model, rates, end = [], [], 0
+    for model_idx in workload.model_indices:
         costs = profile.layer_costs[model_idx]
+        start, end = end, end + len(costs[0])
         stages = [
             (u, sum(costs[u][s:e]) + (profile.transfer_ms if s > 0 else 0.0))
-            for s, e, u in stage_bounds(mapping.assignments[pos])
+            for s, e, u in stage_bounds(ids[start:end])
         ]
         r = 1000.0 / max(e for _, e in stages)
         for u, e in stages:
             raw_load[u] += r * e / 1000.0
+        per_model.append(stages)
         rates.append(r)
-        units_used.append({u for u, _ in stages})
+    return per_model, rates, raw_load, min(1.0, 1.0 / max(raw_load))
 
-    # steps 4-7
-    theta = min(1.0, 1.0 / max(raw_load))
+
+def _avg_throughput(workload: Workload, ids: list, profile: DeviceProfile) -> float:
+    """`simulate(...).avg_throughput` of legal flat unit ids, unchecked: the scalar core."""
+    _, rates, _, theta = _stage_walk(workload, ids, profile)
+    return sum([theta * r for r in rates]) / len(rates)
+
+
+def simulate(workload: Workload, mapping: Mapping, profile: DeviceProfile) -> ThroughputReport:
+    """Score a mapping; deterministic and pure. See the module docstring."""
+    ids = _simulated_ids(workload, [mapping], profile)
+    per_model, rates, raw_load, theta = _stage_walk(workload, ids, profile)
     x = [theta * r for r in rates]
     y = [0.0] * profile.num_units
-    for units, xm in zip(units_used, x):
-        for unit in units:
+    for stages, xm in zip(per_model, x):
+        for unit in {u for u, _ in stages}:
             y[unit] += xm
     return ThroughputReport(
         per_dnn_inf_s=tuple(x),
@@ -209,17 +218,27 @@ def simulate(
     )
 
 
+def _id_rows(flat: list, n: int, workload: Workload, profile: DeviceProfile) -> np.ndarray:
+    """`flat`, the unit ids of n mappings of `workload`, as an (n, layers) `np.intp` array."""
+    width = sum(profile.models[i].num_layers for i in workload.model_indices)
+    return np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(n, width)
+
+
 def simulate_batch(
     workload: Workload, mappings: list[Mapping], profile: DeviceProfile
 ) -> np.ndarray:
     """`simulate(...).avg_throughput` of each of `mappings` of one workload.
     Bit-identical to `simulate`; see the module docstring. Each mapping is
     checked by `validate_mapping`'s rule, in one pass over the batch."""
-    if len(workload) == 0:
-        raise ValueError("cannot simulate an empty workload")
-    flat = _unit_ids(mappings, profile, workload)
+    flat = _simulated_ids(workload, mappings, profile)
+    return _throughput_rows(workload, _id_rows(flat, len(mappings), workload, profile), profile)
+
+
+def _throughput_rows(workload: Workload, rows, profile: DeviceProfile) -> np.ndarray:
+    """`simulate_batch` of `rows`, unchecked: the batch scoring core. `rows` holds
+    legal unit ids flat in mix order, a mapping a row, as an (N, L) array or N lists."""
+    a = np.asarray(rows, dtype=np.intp)
     lengths = np.array([profile.models[i].num_layers for i in workload.model_indices])
-    a = np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(len(mappings), lengths.sum())
     n, m, width = len(a), len(workload), int(lengths.max())
 
     # (layer, mapping, model) arrays: units, costs, stage starts past layer 0, stage ends

@@ -17,6 +17,7 @@ from pipeboost.baselines import (
     mosaic_schedule,
     random_best,
 )
+from pipeboost.errors import MappingError
 from pipeboost.evaluators import SimulatorEvaluator
 from pipeboost.simulator import (
     Mapping,
@@ -371,6 +372,18 @@ class CoarseEvaluator:
 
     def score_batch(self, workload, mappings):
         return np.array([float(sum(a.count(0) for a in m.assignments) % 3) for m in mappings])
+
+    def score_rows(self, workload, rows):
+        return np.array([float(row.count(0) % 3) for row in rows])
+
+
+def test_ga_checks_the_mapping_it_returns(tiny_profile, monkeypatch):
+    # the evaluators trust the GA's genes; the mapping it returns is checked once
+    bad = lambda genes, costs, limit: [3] * len(genes)  # noqa: E731
+    monkeypatch.setattr("pipeboost.baselines.merge_to_limit", bad)
+    config = GaConfig(population=4, generations=1, elitism=0)
+    with pytest.raises(MappingError, match="^unit id 3 out of range$"):
+        ga_schedule(Workload((0, 1)), tiny_profile, CoarseEvaluator(), config)
 
 
 @pytest.mark.parametrize("profile_seed", [11, 22, 33])

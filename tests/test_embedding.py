@@ -101,11 +101,11 @@ def test_mapped_inputs_keep_the_mask_checks(tiny_profile):
     for bad, match in (
         (Mapping(((0, 1, 3), (1, 1))), "unit id 3"),
         (Mapping(((0, 1.5, 2), (1, 1))), r"unit id 1\.5"),  # not truncated to unit 1
-        (Mapping(((0, 1, 2), ("1", 1))), "unit id 1"),
+        (Mapping(((0, 1, 2), ("1", 1))), "unit id '1'"),
         (Mapping(((0, 1), (1, 1))), "assignments"),
         (Mapping(((0, 1, 2),)), "models"),
         (Mapping(((0, 1.0, 2), (1, 1))), r"unit id 1\.0"),
-        (Mapping(((0, 1, 2), (np.int64(1), 1))), "unit id 1"),
+        (Mapping(((0, 1, 2), (np.int64(1), 1))), r"unit id np\.int64\(1\)"),
     ):
         with pytest.raises(MappingError, match=match):
             mapped_inputs(emb, wl, [good, bad], tiny_profile)

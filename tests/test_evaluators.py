@@ -11,7 +11,8 @@ from pipeboost.errors import MappingError
 from pipeboost.estimator import EstimatorNet
 from pipeboost.evaluators import EstimatorEvaluator, SimulatorEvaluator
 from pipeboost.simulator import (
-    Mapping, random_mapping_rng, simulate, simulate_batch, validate_mapping,
+    Mapping, _avg_throughput, _throughput_rows, random_mapping_rng, simulate, simulate_batch,
+    validate_mapping,
 )
 from pipeboost.workload import Workload
 
@@ -98,6 +99,22 @@ def test_every_entry_gives_a_mapping_one_answer(gen_profile, quick_net, rng, cha
         assert len(errors) == len(entries) and len(set(errors.values())) == 1, errors
     else:
         assert answers["simulate_batch"] == answers["simulate"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 8))
+def test_unchecked_cores_equal_the_checked_entries(gen_profile, quick_net, rng, limit, n):
+    # the searches score legal unit ids flat in mix order through
+    # score_ids and score_rows: the same floats as score and score_batch
+    wl = Workload(tuple(rng.sample(range(len(gen_profile.models)), rng.randint(1, 5))))
+    maps = [random_mapping_rng(wl, gen_profile, limit, rng) for _ in range(n)]
+    rows = [[u for a in m.assignments for u in a] for m in maps]
+    for ev in (SimulatorEvaluator(gen_profile), EstimatorEvaluator(quick_net, gen_profile)):
+        assert [ev.score_ids(wl, r) for r in rows] == [ev.score(wl, m) for m in maps]
+        assert np.array_equal(ev.score_rows(wl, rows), ev.score_batch(wl, maps))
+    want = [simulate(wl, m, gen_profile).avg_throughput for m in maps]
+    assert [_avg_throughput(wl, r, gen_profile) for r in rows] == want
+    assert np.array_equal(_throughput_rows(wl, rows, gen_profile), simulate_batch(wl, maps, gen_profile))
 
 
 def test_estimator_evaluator_requires_training(gen_profile):

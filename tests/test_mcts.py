@@ -211,18 +211,25 @@ class ConstantEvaluator:
     def score(self, workload, mapping):
         return 0.5
 
+    def score_ids(self, workload, ids):
+        return 0.5
+
 
 class Recorder:
-    """An evaluator that keeps every mapping it scores, in order: the search's
-    whole trace of terminal mappings, which shows a changed path even when
-    the best mapping stays the same."""
+    """An evaluator that keeps every mapping it scores, in order, as its unit
+    ids flat in mix order: the search's whole trace of terminal mappings,
+    which shows a changed path even when the best mapping stays the same."""
 
     def __init__(self, inner):
         self.inner, self.scored = inner, []
 
     def score(self, workload, mapping):
-        self.scored.append(mapping)
+        self.scored.append(tuple(u for a in mapping.assignments for u in a))
         return self.inner.score(workload, mapping)
+
+    def score_ids(self, workload, ids):
+        self.scored.append(tuple(ids))
+        return self.inner.score_ids(workload, ids)
 
 
 def _evaluator(kind, profile):
@@ -328,6 +335,17 @@ def test_schedule_returns_valid_mapping(gen_profile):
     assert stats["iterations"] == 200
     assert stats["best_reward"] >= 1.0
     assert stats["elapsed_ms"] > 0
+
+
+def test_schedule_checks_the_mapping_it_returns(tiny_profile, monkeypatch):
+    # the evaluators trust the search's unit ids; the mapping it returns is
+    # checked once, so a bad table cannot leave the search unnoticed
+    def only_a_bad_unit(num_units, stage_limit, max_layers):
+        return {key: ((num_units,), 1) for key in legal_units(num_units + 1, stage_limit, max_layers)}
+
+    monkeypatch.setattr("pipeboost.mcts.legal_units", only_a_bad_unit)
+    with pytest.raises(MappingError, match="^unit id 3 out of range$"):
+        schedule(Workload((0, 1)), tiny_profile, ConstantEvaluator(), MctsConfig(budget=20))
 
 
 def test_schedule_deterministic_per_seed(gen_profile):

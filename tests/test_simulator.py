@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def test_validate_mapping_errors(tiny_profile):
 def test_validate_mapping_names_the_first_bad_unit(tiny_profile, second, bad):
     # the second model's units are checked after the first model's are found good
     wl = Workload((0, 1))
-    with pytest.raises(MappingError, match=rf"^unit id {bad} out of range$"):
+    with pytest.raises(MappingError, match=rf"^unit id {re.escape(repr(bad))} out of range$"):
         validate_mapping(Mapping(((0, 1, 2), second)), tiny_profile, wl)
 
 
@@ -281,9 +282,9 @@ def test_simulate_batch_rejects_bad_mappings(tiny_profile):
         (Mapping(((0, 1, 3), (1, 1))), "^unit id 3 out of range$"),
         (Mapping(((0, 1, 2), (1, -1))), "^unit id -1 out of range$"),
         (Mapping(((0, 1.5, 2), (1, 1))), r"^unit id 1\.5 out of range$"),  # not unit 1
-        (Mapping(((0, 1, 2), ("1", 1))), "^unit id 1 out of range$"),
+        (Mapping(((0, 1, 2), ("1", 1))), "^unit id '1' out of range$"),
         (Mapping(((0, 1.0, 2), (1, 1))), r"^unit id 1\.0 out of range$"),  # not unit 1
-        (Mapping(((0, 1, 2), (np.int64(1), 1))), "^unit id 1 out of range$"),
+        (Mapping(((0, 1, 2), (np.int64(1), 1))), r"^unit id np\.int64\(1\) out of range$"),
     ):
         with pytest.raises(MappingError, match=match):
             simulate_batch(wl, [good, bad], tiny_profile)
