@@ -99,7 +99,7 @@ def validate_mapping(
     """Raise `MappingError` unless `mapping` fits `workload` on `profile`: one
     assignment per model, one unit id per layer, and each id an `int` in
     range(num_units) (`True` is unit 1, as in tuple indexing; `1.0` and
-    `np.int64(1)` are refused). The rule of every scoring entry."""
+    `np.int64(1)` are refused). The rule of every checked entry."""
     _unit_ids([mapping], profile, workload)
 
 
