@@ -32,7 +32,6 @@ from .simulator import (
     simulate,
     simulate_batch,
     stage_bounds,
-    stage_count,
     stages_of,
     validate_mapping,
 )

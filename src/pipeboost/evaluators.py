@@ -19,7 +19,7 @@ from .baselines import gpu_only
 from .embedding import _gather, build_embedding, mapped_inputs
 from .estimator import EstimatorNet
 from .simulator import (
-    Mapping, _avg_throughput, _simulated_ids, _throughput_rows, simulate, simulate_batch,
+    Mapping, _avg_throughput, _throughput_rows, _unit_ids, simulate, simulate_batch,
 )
 from .workload import DeviceProfile, Workload
 
@@ -78,8 +78,8 @@ class SimulatorEvaluator:
         return t / (t + ref)
 
     def score(self, workload: Workload, mapping: Mapping) -> float:
-        """`score_ids` of `mapping` once it passes `simulate`'s checks."""
-        return self.score_ids(workload, _simulated_ids(workload, [mapping], self.profile))
+        """`score_ids` of `mapping` once it passes `validate_mapping`'s rule."""
+        return self.score_ids(workload, _unit_ids([mapping], self.profile, workload))
 
     def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
         """`score` of each mapping, through one `simulate_batch` call."""

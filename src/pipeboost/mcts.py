@@ -17,11 +17,15 @@ are the same rules one move at a time, the reference the tests hold the
 flat path to; no workflow calls them, and they stay in the package because
 `bench/test_bench_helpers.py` pins `mcts.apply`.
 
-The rollout's moves are the search's only random draws. Each runs the loop
-of `simulator.randbelow`, the one behind `Random.choice`, with its k kept in
-the `legal_units` table: the number and rng state of `rng.choice`, so a
-seeded search depends only on the seed's `getrandbits` stream.
-`tests/test_simulator.py` pins the draw against `randrange` and `choice`.
+The rollout's moves are the search's only random draws. A free move runs
+the loop of `simulator.randbelow`, the one behind `Random.choice`, with its
+k kept in the `legal_units` table: the number and rng state of
+`rng.choice`, so a seeded search depends only on the seed's `getrandbits`
+stream. Once a model has used its stages, its tail is forced, and `rollout`
+takes the tail's draws of `getrandbits(1)` in exact blocks of 32-bit words
+with the same rng state; its docstring says why every word is consumed.
+`tests/test_simulator.py` pins the draw against `randrange` and `choice`,
+and the block against single draws.
 """
 
 from __future__ import annotations
@@ -138,6 +142,18 @@ def legal_units(num_units: int, stage_limit: int, max_layers: int) -> dict:
     return table
 
 
+class _HighBits(dict):
+    """m -> bit 31 of each of m 32-bit words, the mask of `rollout`'s block
+    draws, built on first use."""
+
+    def __missing__(self, m: int) -> int:
+        mask = self[m] = sum(1 << 32 * i + 31 for i in range(m))
+        return mask
+
+
+_HIGH_BITS = _HighBits()
+
+
 def rollout(
     units: list[int], used: int, spans, legal: dict, rng: random.Random, config: MctsConfig
 ) -> list[int]:
@@ -147,27 +163,48 @@ def rollout(
     mix order (`spans` are each model's (start, end) there, and `used` the
     stages so far of the last unit's model), and returns them. It must draw
     exactly as stepping `actions` and `apply` does: the same numbers as
-    `rng.choice` on the same legal units, or seeded searches change. Each
+    `rng.choice` on the same legal units, or seeded searches change. A free
     move is `simulator.randbelow`'s loop written inline, with k from `legal`.
+
+    Once `legal` offers one unit (the model is at its stage limit, or there
+    is one unit), that unit holds to the model's end, and it fills the tail
+    at once. Each tail layer within max_depth owes draws of `getrandbits(1)`
+    until one is 0, and each such draw is bit 31 of one 32-bit Mersenne
+    Twister word. The tail draws `getrandbits(32 * owed)`, exactly `owed`
+    words, and stepping would consume all of them: it stops at its owed-th
+    0, which `owed` words reach only if every one is 0, at the last. The
+    words with bit 31 set were rejected draws, so their count is what the
+    tail still owes; about log2 of the tail's length blocks settle it.
+    Past max_depth the rest of each model repeats the previous unit, or
+    starts on unit 0, with no draws.
     """
     start, depth = len(units), config.max_depth
     getrandbits, append = rng.getrandbits, units.append
     for s, e in spans:
-        if len(units) >= e:
+        rest = e - len(units)
+        if rest <= 0:
             continue
         prev = units[-1] if len(units) > s else None
         used = 0 if prev is None else used
-        for _ in range(len(units), e):
-            if depth:
-                opts, k = legal[used, prev]
-                n = len(opts)
+        while rest:
+            if not depth:  # the greedy fill
+                units += [0 if prev is None else prev] * rest
+                break
+            opts, k = legal[used, prev]
+            if len(opts) == 1:  # a forced tail
+                owed = rest if rest < depth else depth
+                depth -= owed
+                while owed:
+                    owed = (getrandbits(32 * owed) & _HIGH_BITS[owed]).bit_count()
+                units += opts * rest
+                break
+            n = len(opts)  # a free move
+            r = getrandbits(k)
+            while r >= n:
                 r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                a = opts[r]
-                depth -= 1
-            else:
-                a = 0 if prev is None else prev
+            a = opts[r]
+            depth -= 1
+            rest -= 1
             used += a != prev
             append(a)
             prev = a

@@ -96,17 +96,21 @@ class ThroughputReport:
 def validate_mapping(
     mapping: Mapping, profile: DeviceProfile, workload: Workload
 ) -> None:
-    """Raise `MappingError` unless `mapping` fits `workload` on `profile`: one
-    assignment per model, one unit id per layer, and each id an `int` in
-    range(num_units) (`True` is unit 1, as in tuple indexing; `1.0` and
-    `np.int64(1)` are refused). The rule of every checked entry."""
+    """Raise `MappingError` unless `mapping` fits `workload` on `profile`: a
+    workload of at least one model, one assignment per model, one unit id per
+    layer, and each id an `int` in range(num_units) (`True` is unit 1, as in
+    tuple indexing; `1.0` and `np.int64(1)` are refused). The rule of every
+    checked entry."""
     _unit_ids([mapping], profile, workload)
 
 
 def _unit_ids(mappings: list[Mapping], profile: DeviceProfile, workload: Workload) -> list:
     """The unit ids of `mappings`, flat in mix order, once all pass the rule of
-    `validate_mapping`. It checks, in order: the workload, each mapping's shape
-    (naming the first wrong model), then the ids (naming the first bad one)."""
+    `validate_mapping`. It checks, in order: the workload (not empty, and in
+    the profile), each mapping's shape (naming the first wrong model), then
+    the ids (naming the first bad one)."""
+    if len(workload) == 0:
+        raise MappingError("workload has no models")
     workload.validate_for(profile)
     counts = [profile.models[i].num_layers for i in workload.model_indices]
     flat = []
@@ -145,11 +149,6 @@ def stage_bounds(assignment: tuple[int, ...] | list[int]) -> list[tuple[int, int
     return bounds
 
 
-def stage_count(assignment: tuple[int, ...] | list[int]) -> int:
-    """Number of maximal runs of equal unit ids."""
-    return len(stage_bounds(assignment))
-
-
 def stages_of(
     mapping: Mapping, profile: DeviceProfile, workload: Workload
 ) -> list[list[Stage]]:
@@ -165,13 +164,6 @@ def stages_of(
             for s, e, u in stage_bounds(mapping.assignments[pos])
         ])
     return per_model
-
-
-def _simulated_ids(workload: Workload, mappings: list[Mapping], profile: DeviceProfile) -> list:
-    """`_unit_ids` for the simulator's entries, which refuse an empty workload first."""
-    if len(workload) == 0:
-        raise ValueError("cannot simulate an empty workload")
-    return _unit_ids(mappings, profile, workload)
 
 
 def _stage_walk(workload: Workload, ids: list, profile: DeviceProfile):
@@ -202,7 +194,7 @@ def _avg_throughput(workload: Workload, ids: list, profile: DeviceProfile) -> fl
 
 def simulate(workload: Workload, mapping: Mapping, profile: DeviceProfile) -> ThroughputReport:
     """Score a mapping; deterministic and pure. See the module docstring."""
-    ids = _simulated_ids(workload, [mapping], profile)
+    ids = _unit_ids([mapping], profile, workload)
     per_model, rates, raw_load, theta = _stage_walk(workload, ids, profile)
     x = [theta * r for r in rates]
     y = [0.0] * profile.num_units
@@ -230,7 +222,7 @@ def simulate_batch(
     """`simulate(...).avg_throughput` of each of `mappings` of one workload.
     Bit-identical to `simulate`; see the module docstring. Each mapping is
     checked by `validate_mapping`'s rule, in one pass over the batch."""
-    flat = _simulated_ids(workload, mappings, profile)
+    flat = _unit_ids(mappings, profile, workload)
     return _throughput_rows(workload, _id_rows(flat, len(mappings), workload, profile), profile)
 
 

@@ -25,7 +25,6 @@ from pipeboost.simulator import (
     random_mapping_rng,
     simulate,
     stage_bounds,
-    stage_count,
     validate_mapping,
 )
 from pipeboost.workload import Workload
@@ -236,7 +235,7 @@ def test_mosaic_schedule_valid_and_contention_blind(gen_profile):
     m = mosaic_schedule(wl, gen_profile, lin)
     validate_mapping(m, gen_profile, wl)
     for a in m.assignments:
-        assert stage_count(a) <= 3
+        assert len(stage_bounds(a)) <= 3
     # per-model decisions don't depend on what else is in the mix
     solo = mosaic_schedule(Workload((1,)), gen_profile, lin)
     assert m.assignments[1] == solo.assignments[0]
@@ -289,7 +288,7 @@ def test_mosaic_refuses_a_stage_limit_below_one(gen_profile):
 def test_merge_to_limit_reduces_stage_count(tiny_profile):
     costs = tiny_profile.layer_costs[0]
     out = merge_to_limit([0, 1, 2], costs, 2)
-    assert stage_count(out) <= 2
+    assert len(stage_bounds(out)) <= 2
     assert len(out) == 3
     # already-legal assignments are untouched
     assert merge_to_limit([1, 1, 1], costs, 3) == [1, 1, 1]
@@ -303,8 +302,8 @@ def test_merge_to_limit_keeps_length_and_meets_limit(gen_profile, data):
     limit = data.draw(st.integers(1, 5))
     out = merge_to_limit(assignment, gen_profile.layer_costs[m], limit)
     assert len(out) == n
-    assert stage_count(out) <= limit
-    if stage_count(assignment) <= limit:
+    assert len(stage_bounds(out)) <= limit
+    if len(stage_bounds(assignment)) <= limit:
         assert out == assignment
 
 
@@ -351,7 +350,7 @@ def test_ga_produces_valid_mapping(gen_profile):
     m = ga_schedule(wl, gen_profile, ev, cfg)
     validate_mapping(m, gen_profile, wl)
     for a in m.assignments:
-        assert stage_count(a) <= 3
+        assert len(stage_bounds(a)) <= 3
 
 
 def test_ga_deterministic_and_improves_over_generation_zero(gen_profile):

@@ -263,6 +263,17 @@ def test_mapping_with_missing_key_is_a_clean_error(cli_workspace, capsys, tmp_pa
     assert err.startswith("error:") and key in err
 
 
+def test_mapping_of_an_empty_workload_is_a_clean_error(cli_workspace, capsys, tmp_path):
+    bad = tmp_path / "mapping.json"
+    bad.write_text(json.dumps({"workload": [], "assignments": []}))
+    code, _, err = run(
+        capsys, "simulate", "--profile", str(cli_workspace / "profile.json"),
+        "--mapping", str(bad),
+    )
+    assert code == 1
+    assert err == "error: workload has no models\n"
+
+
 def _set(path, value):
     """A profile edit: put `value` at the key path `path` of the profile dict."""
     def edit(profile):
@@ -359,6 +370,18 @@ def test_dataset_row_that_does_not_fit_its_model_names_the_row(cli_workspace, ca
     )
     assert code == 1
     assert err.startswith(f"error: {bad}: samples[0]: model 'net00': 1 assignments")
+
+
+def test_dataset_row_of_an_empty_workload_is_a_clean_error(cli_workspace, capsys, tmp_path):
+    bad = tmp_path / "dataset.json"
+    row = {"workload": [], "assignments": [], "target_raw": [1, 1, 1]}
+    bad.write_text(json.dumps({"samples": [row]}))
+    code, _, err = run(
+        capsys, "train", "--profile", str(cli_workspace / "profile.json"),
+        "--dataset", str(bad), "--epochs", "1", "--out", str(tmp_path / "w.bin"),
+    )
+    assert code == 1
+    assert err == f"error: {bad}: samples[0]: workload has no models\n"
 
 
 def test_console_script_entrypoint():

@@ -109,3 +109,10 @@ def test_mapped_inputs_keep_the_mask_checks(tiny_profile):
     ):
         with pytest.raises(MappingError, match=match):
             mapped_inputs(emb, wl, [good, bad], tiny_profile)
+
+
+def test_mapped_inputs_refuse_an_empty_workload(tiny_profile):
+    emb = build_embedding(tiny_profile)
+    for mappings in ([Mapping(())], []):
+        with pytest.raises(MappingError, match="^workload has no models$"):
+            mapped_inputs(emb, Workload(()), mappings, tiny_profile)

@@ -47,6 +47,18 @@ def test_score_batch_of_no_mappings_is_empty(gen_profile, quick_net, kind):
     assert out.shape == (0,) and out.dtype == np.float64
 
 
+@pytest.mark.parametrize("kind", ["simulator", "estimator"])
+def test_evaluators_refuse_an_empty_workload(gen_profile, quick_net, kind):
+    if kind == "simulator":
+        ev = SimulatorEvaluator(gen_profile)
+    else:
+        ev = EstimatorEvaluator(quick_net, gen_profile)
+    with pytest.raises(MappingError, match="^workload has no models$"):
+        ev.score(Workload(()), Mapping(()))
+    with pytest.raises(MappingError, match="^workload has no models$"):
+        ev.score_batch(Workload(()), [Mapping(())])
+
+
 def test_simulator_evaluator_batch_checks_each_model_length(tiny_profile):
     ev = SimulatorEvaluator(tiny_profile)
     wl = Workload((0, 1))  # 3 + 2 layers

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +28,10 @@ from pipeboost.simulator import (
     exhaustive_best,
     random_mapping_rng,
     simulate,
-    stage_count,
+    stage_bounds,
     validate_mapping,
 )
-from pipeboost.workload import Workload, generate_profile
+from pipeboost.workload import ComputeUnit, UnitKind, Workload, generate_profile
 
 
 CFG = MctsConfig(budget=50, seed=0)
@@ -128,7 +129,7 @@ def test_rollout_only_takes_legal_actions(tiny_profile):
     for _ in range(200):
         t, _ = flat_rollout(s, rng, CFG)
         validate_mapping(t, tiny_profile, Workload((0, 1)))
-        assert all(stage_count(a) <= CFG.stage_limit for a in t.assignments)
+        assert all(len(stage_bounds(a)) <= CFG.stage_limit for a in t.assignments)
 
 
 def test_rollout_depth_cap_finishes_greedily(tiny_profile):
@@ -138,7 +139,7 @@ def test_rollout_depth_cap_finishes_greedily(tiny_profile):
     assert len(moves) == 5
     # past the cap each layer repeats the previous unit: no new stages
     for a in t.assignments:
-        assert stage_count(a) <= 2
+        assert len(stage_bounds(a)) <= 2
 
 
 def rollout_by_steps(state, rng, config):
@@ -275,25 +276,43 @@ def test_schedule_equals_state_by_state_reference(
         MctsConfig(max_depth=3, seed=0),  # the greedy fill runs
         MctsConfig(max_depth=1, stage_limit=1, seed=0),
         MctsConfig(stage_limit=2, seed=0),  # the limit binds mid-model at full depth
+        # past a model's first layer every layer is forced: max_depth ends in a forced tail
+        MctsConfig(max_depth=7, stage_limit=1, seed=0),
+        MctsConfig(max_depth=12, stage_limit=3, seed=0),
+        MctsConfig(max_depth=20, stage_limit=4, seed=0),
     ],
 )
 def test_rollout_equals_step_by_step_reference(gen_profile, cfg):
-    walker = random.Random(17)
+    # 1 to 4 units: with one unit every layer is forced, from a model's first
+    profiles = [
+        replace(gen_profile, units=tuple(ComputeUnit(u, f"u{u}", UnitKind.BIG) for u in range(n)))
+        for n in (1, 2, 3, 4)
+    ]
+    walker, at_limit = random.Random(17), 0
     for trial in range(60):
+        profile = walker.choice(profiles)
         size = walker.randint(1, 4)
-        wl = Workload(tuple(walker.sample(range(len(gen_profile.models)), size)))
-        s = initial_state(wl, gen_profile, cfg)
-        # start at the root, or part-way, often with the cursor inside a model
+        wl = Workload(tuple(walker.sample(range(len(profile.models)), size)))
+        s = initial_state(wl, profile, cfg)
+        # start at the root, or part-way, often with the cursor inside a model;
+        # a path that opens a stage whenever it may fills its model to the limit
+        fresh = walker.random() < 0.5
         for _ in range(walker.choice([0, 1, 2, 5, 9, 14])):
-            nxt = apply(s, walker.choice(actions(s)))
+            opts = actions(s)
+            m, l = s.cursor
+            new = [u for u in opts if l == 0 or u != s.assignments[m][-1]]
+            nxt = apply(s, walker.choice(new if fresh and new else opts))
             if nxt.cursor is None:
                 break
             s = nxt
+        m, l = s.cursor
+        at_limit += l > 0 and s.stage_counts[m] == cfg.stage_limit
         rng_new, rng_ref = random.Random(trial), random.Random(trial)
         got_mapping, got_moves = flat_rollout(s, rng_new, cfg)
         want, want_moves = rollout_by_steps(s, rng_ref, cfg)
         assert (got_mapping, got_moves) == (want.mapping(), want_moves)
         assert rng_new.getstate() == rng_ref.getstate()  # same draws, same count
+    assert at_limit  # some rollouts start inside a forced tail
 
 
 def test_legal_units_table_is_the_rule_of_actions(tiny_profile):
@@ -331,7 +350,7 @@ def test_schedule_returns_valid_mapping(gen_profile):
     mapping, stats = schedule(wl, gen_profile, ev, MctsConfig(budget=200, seed=5))
     validate_mapping(mapping, gen_profile, wl)
     for a in mapping.assignments:
-        assert stage_count(a) <= 3
+        assert len(stage_bounds(a)) <= 3
     assert stats["iterations"] == 200
     assert stats["best_reward"] >= 1.0
     assert stats["elapsed_ms"] > 0
@@ -404,5 +423,5 @@ def test_schedule_returns_a_mapping_within_the_stage_limit(
     cfg = MctsConfig(budget=budget, max_depth=max_depth, stage_limit=stage_limit, seed=seed)
     mapping, stats = schedule(wl, profile, SimulatorEvaluator(profile), cfg)
     validate_mapping(mapping, profile, wl)
-    assert all(stage_count(a) <= stage_limit for a in mapping.assignments)
+    assert all(len(stage_bounds(a)) <= stage_limit for a in mapping.assignments)
     assert stats["iterations"] == budget

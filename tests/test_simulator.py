@@ -30,7 +30,6 @@ from pipeboost.simulator import (
     simulate,
     simulate_batch,
     stage_bounds,
-    stage_count,
     stages_of,
     validate_mapping,
 )
@@ -112,10 +111,15 @@ def test_simulate_empty_workload_rejected(tiny_profile):
         simulate(Workload(()), Mapping(()), tiny_profile)
 
 
+def test_validate_mapping_refuses_an_empty_workload(tiny_profile):
+    with pytest.raises(MappingError, match="^workload has no models$"):
+        validate_mapping(Mapping(()), tiny_profile, Workload(()))
+
+
 def test_stage_helpers(tiny_profile):
-    assert stage_count((0, 0, 1)) == 2
-    assert stage_count((0, 1, 0)) == 3
-    assert stage_count((2, 2, 2)) == 1
+    assert len(stage_bounds((0, 0, 1))) == 2
+    assert len(stage_bounds((0, 1, 0))) == 3
+    assert len(stage_bounds((2, 2, 2))) == 1
     stages = stages_of(Mapping(((0, 0, 1), (2, 2))), tiny_profile, Workload((0, 1)))
     assert [(s.unit, s.layer_range, s.cost_ms) for s in stages[0]] == [
         (0, (0, 1), 5.0),
@@ -130,7 +134,7 @@ def test_stage_bounds_are_the_maximal_runs(assignment):
     assert [u for s, e, u in bounds for _ in range(s, e)] == assignment
     assert [l for s, e, _ in bounds for l in range(s, e)] == list(range(len(assignment)))
     assert all(a[2] != b[2] for a, b in zip(bounds, bounds[1:]))
-    assert len(bounds) == stage_count(assignment) == len(list(itertools.groupby(assignment)))
+    assert len(bounds) == len(list(itertools.groupby(assignment)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -382,7 +386,7 @@ def brute_count(n, u, s):
     return sum(
         1
         for combo in itertools.product(range(u), repeat=n)
-        if stage_count(combo) <= s
+        if len(stage_bounds(combo)) <= s
     )
 
 
@@ -409,7 +413,7 @@ def test_iter_assignments_exhaustive_and_sorted():
     assert len(set(got)) == len(got)
     assert got == sorted(got)
     for a in got:
-        assert stage_count(a) <= 2
+        assert len(stage_bounds(a)) <= 2
         assert all(0 <= x < 3 for x in a)
 
 
@@ -446,7 +450,7 @@ def test_random_mapping_valid_and_seeded(gen_profile):
     assert m1 == m2
     validate_mapping(m1, gen_profile, wl)
     for a in m1.assignments:
-        assert stage_count(a) <= 3
+        assert len(stage_bounds(a)) <= 3
     m3 = random_mapping_rng(wl, gen_profile, 3, random.Random(5))
     assert m1 != m3  # overwhelmingly likely for this space
 
@@ -462,6 +466,19 @@ def test_randbelow_is_randrange_and_choice():
             assert got == [by_range.randrange(n) for _ in range(3)]
             assert got == [by_choice.choice(range(n)) for _ in range(3)]
             assert rng.getstate() == by_range.getstate() == by_choice.getstate()
+
+
+def test_a_block_of_words_is_that_many_single_bit_draws():
+    # mcts.rollout's forced tails rely on this: getrandbits(32 * m) takes
+    # exactly m 32-bit words, and getrandbits(1) is bit 31 of one word, so
+    # the block's bits 31 are m single-bit draws with the same rng state
+    for m in range(1, 41):
+        high = sum(1 << 32 * i + 31 for i in range(m))
+        for seed in range(8):
+            block, single = random.Random(seed), random.Random(seed)
+            ones = (block.getrandbits(32 * m) & high).bit_count()
+            assert ones == sum(single.getrandbits(1) for _ in range(m))
+            assert block.getstate() == single.getstate()
 
 
 def test_mapping_json_roundtrip(tiny_profile, tmp_path):
