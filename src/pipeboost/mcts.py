@@ -3,19 +3,19 @@
 The search walks layers left to right, model by model. Each tree edge
 assigns the next layer to one of the compute units, and only units that
 keep the model within the stage limit are offered, so every path ends in a
-complete, valid mapping. A complete mapping is scored 1 + the evaluator's
-[0,1] scalar. The returned mapping is the best one seen anywhere during the
-search, checked once by `validate_mapping`.
+complete, valid mapping. The returned mapping is the best one seen anywhere
+during the search, checked once by `validate_mapping`.
 
 The search runs on a flat path: a tree node holds only its unit, children,
 untried units and statistics. Each iteration replays its path from the root
 onto one flat list of the mix's layer units, counting the current model's
-stages, `rollout` continues that list, and the evaluator's unchecked
-`score_ids` scores it. The tree and the rollout read legal units from one
-table, `legal_units`. `SearchState`, `initial_state`, `actions` and `apply`
-are the same rules one move at a time, the reference the tests hold the
-flat path to; no workflow calls them, and they stay in the package because
-`bench/test_bench_helpers.py` pins `mcts.apply`.
+stages, `rollout` continues that list, and its reward is 1 + the
+evaluator's unchecked `score_ids`, a score in [0, 1]. The tree and the
+rollout read legal units from one table, `legal_units`. `SearchState`,
+`initial_state`, `actions` and `apply` are the same rules one move at a
+time, the reference the tests hold the flat path to; no workflow calls
+them, and they stay in the package because `bench/test_bench_helpers.py`
+pins `mcts.apply`.
 
 The rollout's moves are the search's only random draws. A free move runs
 the loop of `simulator.randbelow`, the one behind `Random.choice`, with its
@@ -209,11 +209,6 @@ def rollout(
             append(a)
             prev = a
     return units[start:]
-
-
-def evaluate_terminal(workload: Workload, mapping: Mapping, evaluator) -> float:
-    """Reward of a complete mapping: 1 + the evaluator's score in [0, 1]."""
-    return 1.0 + evaluator.score(workload, mapping)
 
 
 class _Node:

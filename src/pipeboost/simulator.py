@@ -20,17 +20,12 @@ A stage's cost(s) is the Python `sum` of its layers' entries in
 `profile.layer_costs`, taken in layer order. Prefix sums would make each
 stage two lookups, but `P[e] - P[s]` rounds differently from the sum, and
 the searches compare near-equal scores, so a last-digit change can change
-the mapping they pick. `simulate` and the unchecked scalar core the
-evaluators score with share one stage walk, so both give the same T.
+the mapping they pick.
 
-`simulate_batch` and its unchecked core return the same T bit for bit: they
-do `simulate`'s float operations in its order on (layer, mapping, model)
-arrays. A stage cost accumulates layer by layer from its run's first layer
-(no prefix sums, no pairwise numpy `.sum()`) and is read at the stage's last
-layer. Each unit's load is one `np.add.at` over the stage ends in (mapping,
-model, layer) order, which adds repeated indices one by one in `simulate`'s
-(model, stage) order, where a buffered `+=` would keep only the last;
-`np.add.accumulate` then adds the models one by one, as `sum` does.
+`_avg_throughput` is the one scoring core, for `simulate_batch` and the
+simulator evaluator. It takes each model's walk (`_model_walk`, steps 1-3)
+from a memo keyed by (model index, the model's unit ids). T keeps its bits:
+`simulate` makes the same walks and adds the loads in the same order.
 """
 
 from __future__ import annotations
@@ -166,40 +161,55 @@ def stages_of(
     return per_model
 
 
-def _stage_walk(workload: Workload, ids: list, profile: DeviceProfile):
-    """Steps 1-4 of legal unit ids flat in mix order, unchecked: each model's
-    stages as (unit, effective time), the rates, the raw unit loads, theta."""
-    raw_load = [0.0] * profile.num_units
-    per_model, rates, end = [], [], 0
+def _model_walk(costs, ids, transfer_ms: float) -> tuple[float, list]:
+    """Steps 1-2 of one model, of its layer cost table `costs` and its legal
+    unit ids `ids`: its rate r, and each stage's (unit, r * e / 1000), its
+    term of step 3."""
+    bounds = stage_bounds(ids)
+    times = [sum(costs[u][s:e]) + (transfer_ms if s > 0 else 0.0) for s, e, u in bounds]
+    r = 1000.0 / max(times)
+    return r, [(u, r * e / 1000.0) for (_, _, u), e in zip(bounds, times)]
+
+
+def _contention(walks: list, num_units: int) -> tuple[list[float], float]:
+    """Steps 3-4 of the models' walks: the raw unit loads, the stages' terms
+    added in (model, stage) order, and theta."""
+    raw_load = [0.0] * num_units
+    for _, loads in walks:
+        for u, load in loads:
+            raw_load[u] += load
+    return raw_load, min(1.0, 1.0 / max(raw_load))
+
+
+def _avg_throughput(workload: Workload, ids: list, profile: DeviceProfile, memo: dict) -> float:
+    """`simulate(...).avg_throughput` of legal unit ids flat in mix order,
+    unchecked: the scoring core. Each model's walk is read from `memo`, by
+    (model index, tuple of its ids), or made and stored there."""
+    walks, end = [], 0
     for model_idx in workload.model_indices:
         costs = profile.layer_costs[model_idx]
         start, end = end, end + len(costs[0])
-        stages = [
-            (u, sum(costs[u][s:e]) + (profile.transfer_ms if s > 0 else 0.0))
-            for s, e, u in stage_bounds(ids[start:end])
-        ]
-        r = 1000.0 / max(e for _, e in stages)
-        for u, e in stages:
-            raw_load[u] += r * e / 1000.0
-        per_model.append(stages)
-        rates.append(r)
-    return per_model, rates, raw_load, min(1.0, 1.0 / max(raw_load))
-
-
-def _avg_throughput(workload: Workload, ids: list, profile: DeviceProfile) -> float:
-    """`simulate(...).avg_throughput` of legal flat unit ids, unchecked: the scalar core."""
-    _, rates, _, theta = _stage_walk(workload, ids, profile)
-    return sum([theta * r for r in rates]) / len(rates)
+        key = (model_idx, tuple(ids[start:end]))
+        walk = memo.get(key)
+        if walk is None:
+            walk = memo[key] = _model_walk(costs, key[1], profile.transfer_ms)
+        walks.append(walk)
+    _, theta = _contention(walks, profile.num_units)
+    return sum([theta * r for r, _ in walks]) / len(walks)
 
 
 def simulate(workload: Workload, mapping: Mapping, profile: DeviceProfile) -> ThroughputReport:
     """Score a mapping; deterministic and pure. See the module docstring."""
-    ids = _unit_ids([mapping], profile, workload)
-    per_model, rates, raw_load, theta = _stage_walk(workload, ids, profile)
-    x = [theta * r for r in rates]
+    validate_mapping(mapping, profile, workload)
+    walks = [
+        _model_walk(profile.layer_costs[i], a, profile.transfer_ms)
+        for i, a in zip(workload.model_indices, mapping.assignments)
+    ]
+    raw_load, theta = _contention(walks, profile.num_units)
+    x = [theta * r for r, _ in walks]
     y = [0.0] * profile.num_units
-    for stages, xm in zip(per_model, x):
-        for unit in {u for u, _ in stages}:
+    for (_, loads), xm in zip(walks, x):
+        for unit in {u for u, _ in loads}:
             y[unit] += xm
     return ThroughputReport(
         per_dnn_inf_s=tuple(x),
@@ -216,51 +226,22 @@ def _id_rows(flat: list, n: int, workload: Workload, profile: DeviceProfile) -> 
     return np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(n, width)
 
 
+def _id_lists(flat: list, workload: Workload, profile: DeviceProfile) -> list[list]:
+    """`flat`, the unit ids of mappings of `workload`, as one list a mapping."""
+    width = sum(profile.models[i].num_layers for i in workload.model_indices)
+    return [flat[i : i + width] for i in range(0, len(flat), width)]
+
+
 def simulate_batch(
     workload: Workload, mappings: list[Mapping], profile: DeviceProfile
 ) -> np.ndarray:
-    """`simulate(...).avg_throughput` of each of `mappings` of one workload.
-    Bit-identical to `simulate`; see the module docstring. Each mapping is
+    """`simulate(...).avg_throughput` of each of `mappings` of one workload,
+    the scoring core once a mapping through one memo. Each mapping is
     checked by `validate_mapping`'s rule, in one pass over the batch."""
-    flat = _unit_ids(mappings, profile, workload)
-    return _throughput_rows(workload, _id_rows(flat, len(mappings), workload, profile), profile)
-
-
-def _throughput_rows(workload: Workload, rows, profile: DeviceProfile) -> np.ndarray:
-    """`simulate_batch` of `rows`, unchecked: the batch scoring core. `rows` holds
-    legal unit ids flat in mix order, a mapping a row, as an (N, L) array or N lists."""
-    a = np.asarray(rows, dtype=np.intp)
-    lengths = np.array([profile.models[i].num_layers for i in workload.model_indices])
-    n, m, width = len(a), len(workload), int(lengths.max())
-
-    # (layer, mapping, model) arrays: units, costs, stage starts past layer 0, stage ends
-    valid = np.arange(width) < lengths[:, None]
-    units = np.zeros((n, m, width), dtype=np.intp)
-    units[:, valid] = a
-    units = units.transpose(2, 0, 1)
-    table = profile.cost_array[list(workload.model_indices)]
-    costs = table[np.arange(m), units, np.arange(width)[:, None, None]]
-    start = np.zeros((width, n, m), dtype=bool)
-    start[1:] = units[1:] != units[:-1]
-    end = np.zeros((width, n, m), dtype=bool)
-    end[:-1] = start[1:]
-    end[lengths - 1, :, np.arange(m)] = True
-    end &= valid.T[:, None, :]
-
-    # step 1: stage costs, summed left to right, plus transfers past a model's first stage
-    stage_cost = np.empty((width, n, m))
-    acc = stage_cost[0] = costs[0]
-    for l in range(1, width):
-        acc = stage_cost[l] = np.where(start[l], costs[l], acc + costs[l])
-    eff = stage_cost + np.where(np.logical_or.accumulate(start), profile.transfer_ms, 0.0)
-
-    # steps 2-4, 7, over the stage ends in (mapping, model, layer) order
-    rate = 1000.0 / np.where(end, eff, 0.0).max(axis=0)
-    nn, mm, ll = np.nonzero(end.transpose(1, 2, 0))
-    raw_load = np.zeros((n, profile.num_units))
-    np.add.at(raw_load, (nn, units[ll, nn, mm]), rate[nn, mm] * eff[ll, nn, mm] / 1000.0)
-    theta = np.minimum(1.0, 1.0 / raw_load.max(axis=1))
-    return np.add.accumulate(theta[:, None] * rate, axis=1)[:, -1] / m
+    rows, memo = _id_lists(_unit_ids(mappings, profile, workload), workload, profile), {}
+    return np.array(
+        [_avg_throughput(workload, ids, profile, memo) for ids in rows], dtype=np.float64
+    )
 
 
 # ---------------------------------------------------------------------------

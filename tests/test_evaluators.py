@@ -11,8 +11,7 @@ from pipeboost.errors import MappingError
 from pipeboost.estimator import EstimatorNet
 from pipeboost.evaluators import EstimatorEvaluator, SimulatorEvaluator
 from pipeboost.simulator import (
-    Mapping, _avg_throughput, _throughput_rows, random_mapping_rng, simulate, simulate_batch,
-    validate_mapping,
+    Mapping, _avg_throughput, random_mapping_rng, simulate, simulate_batch, validate_mapping,
 )
 from pipeboost.workload import Workload
 
@@ -113,20 +112,48 @@ def test_every_entry_gives_a_mapping_one_answer(gen_profile, quick_net, rng, cha
         assert answers["simulate_batch"] == answers["simulate"]
 
 
+@pytest.fixture(scope="module")
+def shared_sim(gen_profile):
+    """One simulator evaluator for every example of a hypothesis test, so its
+    memo meets new mixes, mixes again and repeated rows."""
+    return SimulatorEvaluator(gen_profile)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 8))
-def test_unchecked_cores_equal_the_checked_entries(gen_profile, quick_net, rng, limit, n):
+def test_unchecked_cores_equal_the_checked_entries(gen_profile, quick_net, shared_sim, rng, limit, n):
     # the searches score legal unit ids flat in mix order through
-    # score_ids and score_rows: the same floats as score and score_batch
+    # score_ids and score_rows: the same floats as score and score_batch,
+    # whatever the evaluator's memo already holds
     wl = Workload(tuple(rng.sample(range(len(gen_profile.models)), rng.randint(1, 5))))
     maps = [random_mapping_rng(wl, gen_profile, limit, rng) for _ in range(n)]
+    maps += rng.sample(maps, rng.randint(0, n))  # repeated rows
     rows = [[u for a in m.assignments for u in a] for m in maps]
-    for ev in (SimulatorEvaluator(gen_profile), EstimatorEvaluator(quick_net, gen_profile)):
+    fresh = [SimulatorEvaluator(gen_profile).score(wl, m) for m in maps]
+    for ev in (shared_sim, SimulatorEvaluator(gen_profile), EstimatorEvaluator(quick_net, gen_profile)):
         assert [ev.score_ids(wl, r) for r in rows] == [ev.score(wl, m) for m in maps]
         assert np.array_equal(ev.score_rows(wl, rows), ev.score_batch(wl, maps))
+    assert [shared_sim.score_ids(wl, r) for r in rows] == fresh
     want = [simulate(wl, m, gen_profile).avg_throughput for m in maps]
-    assert [_avg_throughput(wl, r, gen_profile) for r in rows] == want
-    assert np.array_equal(_throughput_rows(wl, rows, gen_profile), simulate_batch(wl, maps, gen_profile))
+    memo = {}
+    assert [_avg_throughput(wl, r, gen_profile, memo) for r in rows] == want
+    assert [_avg_throughput(wl, r, gen_profile, memo) for r in rows] == want  # every walk a hit
+    assert np.array_equal(simulate_batch(wl, maps, gen_profile), want)
+
+
+def test_one_evaluator_holds_one_mix(gen_profile):
+    # mix A, then B, then A again through one evaluator: the floats of fresh
+    # evaluators, bit for bit, and after B only B's walks are kept
+    a, b = Workload((0, 4, 5)), Workload((4, 2))  # model 4 in both, at other positions
+    rng = random.Random(19)
+    maps = {wl: [random_mapping_rng(wl, gen_profile, 3, rng) for _ in range(30)] for wl in (a, b)}
+    want = {wl: SimulatorEvaluator(gen_profile).score_batch(wl, ms) for wl, ms in maps.items()}
+    ev = SimulatorEvaluator(gen_profile)
+    for wl in (a, b, a):
+        assert [ev.score(wl, m) for m in maps[wl]] == want[wl].tolist()
+        assert np.array_equal(ev.score_batch(wl, maps[wl]), want[wl])
+        keys = {(i, ids) for m in maps[wl] for i, ids in zip(wl.model_indices, m.assignments)}
+        assert ev._workload == wl and set(ev._memo) == keys
 
 
 def test_estimator_evaluator_requires_training(gen_profile):

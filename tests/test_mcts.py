@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pipeboost.baselines import gpu_only
 from pipeboost.errors import MappingError
 from pipeboost.estimator import EstimatorNet, TargetStats
 from pipeboost.evaluators import EstimatorEvaluator, SimulatorEvaluator
@@ -17,7 +18,6 @@ from pipeboost.mcts import (
     MctsConfig,
     actions,
     apply,
-    evaluate_terminal,
     initial_state,
     legal_units,
     rollout,
@@ -332,14 +332,17 @@ def test_legal_units_table_is_the_rule_of_actions(tiny_profile):
                     assert list(legal[t.stage_counts[0], a][0]) == actions(t)
 
 
-def test_evaluate_terminal(tiny_profile):
+def test_simulator_score_of_a_walked_mapping(tiny_profile):
+    # a complete state's mapping scores T / (T + T_ref), as the flat ids the
+    # search rewards do; an incomplete mapping is refused
     ev = SimulatorEvaluator(tiny_profile)
     done = walk(initial_state(Workload((0,)), tiny_profile, CFG), [0, 0, 0])
-    assert evaluate_terminal(done.workload, done.mapping(), ev) == 1.0 + ev.score(
-        done.workload, done.mapping()
-    )
-    with pytest.raises(MappingError):  # an incomplete mapping is refused
-        evaluate_terminal(done.workload, Mapping(((0, 0),)), ev)
+    t = simulate(done.workload, done.mapping(), tiny_profile).avg_throughput
+    ref = simulate(done.workload, gpu_only(done.workload, tiny_profile), tiny_profile).avg_throughput
+    assert ev.score(done.workload, done.mapping()) == t / (t + ref)
+    assert ev.score_ids(done.workload, [0, 0, 0]) == t / (t + ref)
+    with pytest.raises(MappingError):
+        ev.score(done.workload, Mapping(((0, 0),)))
 
 
 # ------------------------------------------------------------- end to end

@@ -20,6 +20,7 @@ import pipeboost as pb
 from pipeboost.errors import MappingError, SearchSpaceError
 from pipeboost.simulator import (
     Mapping,
+    _avg_throughput,
     count_assignments,
     exhaustive_best,
     iter_assignments,
@@ -327,6 +328,21 @@ def test_simulate_batch_adds_each_units_stages_in_simulates_order():
     ]
     want = [simulate(wl, m, profile).avg_throughput for m in maps]
     assert np.array_equal(simulate_batch(wl, maps, profile), want)
+
+
+def test_one_memo_keys_each_walk_by_model_and_ids():
+    # A workload cannot repeat a model, so one memo serves mixes that hold a
+    # model at other positions, and models of equal length given the same
+    # ids: each T through the memo, hit or miss, is `simulate`'s.
+    profile = pb.generate_profile(4, seed=3, config=pb.GeneratorConfig(layer_range=(4, 4)))
+    rng, memo = random.Random(5), {}
+    for wl in (Workload((0, 1)), Workload((1, 0)), Workload((2, 1, 3))) * 2:
+        maps = [random_mapping_rng(wl, profile, 2, rng) for _ in range(20)]
+        maps.append(Mapping(((0, 1, 1, 2),) * len(wl)))  # one id tuple for every model
+        for m in maps:
+            ids = [u for a in m.assignments for u in a]
+            assert _avg_throughput(wl, ids, profile, memo) == simulate(wl, m, profile).avg_throughput
+    assert len({ids for _, ids in memo}) < len(memo)  # some ids stored under two models
 
 
 # ------------------------------------------------------------ fuzz oracle
