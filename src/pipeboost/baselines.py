@@ -177,23 +177,21 @@ class GaConfig:
             raise ValueError("stage_limit must be >= 1")
 
 
-def merge_to_limit(
-    assignment: list[int], costs: tuple[tuple[float, ...], ...], limit: int
-) -> list[int]:
+def merge_to_limit(assignment: list[int], costs, limit: int) -> list[int]:
     """Repair pass: merge the cheapest stage into its cheaper-cost adjacent
     neighbor (reassigning its layers to the neighbor's unit) until the
-    assignment has at most `limit` stages. `costs[u][l]` is the model's
-    layer cost table, `profile.layer_costs[m]`. Ties go to the first
+    assignment has at most `limit` stages. `costs[u][s][e]` is the model's
+    stage-cost table, `profile.stage_costs[m]`. Ties go to the first
     cheapest stage and to the left neighbor.
 
-    `stages` and `cost` are kept equal to `stage_bounds(out)` and its stage
-    sums: a merge joins the victim, the target and, when it is on the
-    target's unit too, the victim's other neighbor into one run."""
-    out = list(assignment)
-    stages = stage_bounds(out)
+    `stages` and `cost` are kept equal to the stages of the merged
+    assignment and their costs: a merge joins the victim, the target and,
+    when it is on the target's unit too, the victim's other neighbor into one
+    run. The output is written once, from the final stages."""
+    stages = stage_bounds(assignment)
     if len(stages) <= limit:
-        return out
-    cost = [sum(costs[u][s:e]) for s, e, u in stages]
+        return list(assignment)
+    cost = [costs[u][s][e] for s, e, u in stages]
     while len(stages) > limit:
         victim = cost.index(min(cost))
         if victim == 0:
@@ -203,15 +201,16 @@ def merge_to_limit(
         else:
             target = victim + 1
         unit = stages[target][2]
-        s, e, _ = stages[victim]
-        out[s:e] = [unit] * (e - s)
         lo, hi = sorted((victim, target))
         other = 2 * victim - target
         if 0 <= other < len(stages) and stages[other][2] == unit:
             lo, hi = min(lo, other), max(hi, other)
         s, e = stages[lo][0], stages[hi][1]
         stages[lo : hi + 1] = [(s, e, unit)]
-        cost[lo : hi + 1] = [sum(costs[unit][s:e])]
+        cost[lo : hi + 1] = [costs[unit][s][e]]
+    out = []
+    for s, e, u in stages:
+        out += [u] * (e - s)
     return out
 
 
@@ -232,7 +231,13 @@ def ga_schedule(
     `randrange(n_units)`, without their Python frames. Whether a gene mutates
     stays `rng.random() < mutation_rate`. So the generations depend only on
     the seed's `getrandbits` and `random()` streams; `tests/test_simulator.py`
-    pins the draw."""
+    pins the draw.
+
+    Every member is legal: the initial draws, the elites and the repaired
+    children. So a child's model slice that no crossover point splits and
+    no mutation changed equals its parent's and skips `merge_to_limit`,
+    which would return it unchanged. The returned mapping is checked,
+    stage limit included."""
     config = config or GaConfig()
     workload.validate_for(profile)
     if len(workload) == 0:
@@ -241,7 +246,7 @@ def ga_schedule(
         (profile.models[i].num_layers for i in workload.model_indices), initial=0
     ))
     spans = [
-        (bounds[pos], bounds[pos + 1], profile.layer_costs[i])
+        (bounds[pos], bounds[pos + 1], profile.stage_costs[i])
         for pos, i in enumerate(workload.model_indices)
     ]
     total = bounds[-1]
@@ -275,12 +280,13 @@ def ga_schedule(
                 for g in p1[:point] + p2[point:]
             ]
             for s, e, costs in spans:
-                child[s:e] = merge_to_limit(child[s:e], costs, limit)
+                if s < point < e or child[s:e] != (p1 if point >= e else p2)[s:e]:
+                    child[s:e] = merge_to_limit(child[s:e], costs, limit)
             nxt.append(child)
         population = nxt
 
     fitness = evaluator.score_rows(workload, population).tolist()
     genes = population[max(range(size), key=lambda i: (fitness[i], -i))]
     best = Mapping(tuple(tuple(genes[s:e]) for s, e, _ in spans))
-    validate_mapping(best, profile, workload)
+    validate_mapping(best, profile, workload, limit)
     return best

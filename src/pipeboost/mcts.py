@@ -4,7 +4,8 @@ The search walks layers left to right, model by model. Each tree edge
 assigns the next layer to one of the compute units, and only units that
 keep the model within the stage limit are offered, so every path ends in a
 complete, valid mapping. The returned mapping is the best one seen anywhere
-during the search, checked once by `validate_mapping`.
+during the search, checked once by `validate_mapping`, stage limit
+included.
 
 The search runs on a flat path: a tree node holds only its unit, children,
 untried units and statistics. Each iteration replays its path from the root
@@ -271,5 +272,5 @@ def schedule(
 
     ms = (time.perf_counter() - t0) * 1000.0
     best_mapping = Mapping(tuple(tuple(best_units[s:e]) for s, e in spans))
-    validate_mapping(best_mapping, profile, workload)
+    validate_mapping(best_mapping, profile, workload, config.stage_limit)
     return best_mapping, {"iterations": config.budget, "best_reward": best_reward, "elapsed_ms": ms}

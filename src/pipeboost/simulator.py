@@ -16,11 +16,11 @@ The throughput model, with times in ms and rates in inferences/second:
   6. per-unit rate         y_u = sum of x_m over models with a stage on u
   7. average throughput    T = sum(x_m) / M
 
-A stage's cost(s) is the Python `sum` of its layers' entries in
-`profile.layer_costs`, taken in layer order. Prefix sums would make each
-stage two lookups, but `P[e] - P[s]` rounds differently from the sum, and
-the searches compare near-equal scores, so a last-digit change can change
-the mapping they pick.
+A stage's cost(s) is read from `profile.stage_costs`, whose entry for
+layers s to e - 1 is the Python `sum` of their `profile.layer_costs`,
+taken in layer order. It is not a difference of prefix sums: `P[e] - P[s]`
+rounds differently from the sum, and the searches compare near-equal
+scores, so a last-digit change can change the mapping they pick.
 
 `_avg_throughput` is the one scoring core, for `simulate_batch` and the
 simulator evaluator. It takes each model's walk (`_model_walk`, steps 1-3)
@@ -89,14 +89,22 @@ class ThroughputReport:
 
 
 def validate_mapping(
-    mapping: Mapping, profile: DeviceProfile, workload: Workload
+    mapping: Mapping, profile: DeviceProfile, workload: Workload, max_stages: int | None = None
 ) -> None:
     """Raise `MappingError` unless `mapping` fits `workload` on `profile`: a
     workload of at least one model, one assignment per model, one unit id per
     layer, and each id an `int` in range(num_units) (`True` is unit 1, as in
     tuple indexing; `1.0` and `np.int64(1)` are refused). The rule of every
-    checked entry."""
+    checked entry. With `max_stages`, the ids are checked first, then that
+    no model has more than `max_stages` stages (naming the first that has)."""
     _unit_ids([mapping], profile, workload)
+    if max_stages is None:
+        return
+    for model_idx, assignment in zip(workload.model_indices, mapping.assignments):
+        count = len(stage_bounds(assignment))
+        if count > max_stages:
+            name = profile.models[model_idx].name
+            raise MappingError(f"model {name!r}: {count} stages, over the limit {max_stages}")
 
 
 def _unit_ids(mappings: list[Mapping], profile: DeviceProfile, workload: Workload) -> list:
@@ -151,22 +159,20 @@ def stages_of(
     validate_mapping(mapping, profile, workload)
     per_model = []
     for pos, model_idx in enumerate(workload.model_indices):
-        costs = profile.layer_costs[model_idx]
+        costs = profile.stage_costs[model_idx]
         per_model.append([
-            Stage(
-                model_index=pos, unit=u, layer_range=(s, e - 1), cost_ms=sum(costs[u][s:e])
-            )
+            Stage(model_index=pos, unit=u, layer_range=(s, e - 1), cost_ms=costs[u][s][e])
             for s, e, u in stage_bounds(mapping.assignments[pos])
         ])
     return per_model
 
 
 def _model_walk(costs, ids, transfer_ms: float) -> tuple[float, list]:
-    """Steps 1-2 of one model, of its layer cost table `costs` and its legal
-    unit ids `ids`: its rate r, and each stage's (unit, r * e / 1000), its
-    term of step 3."""
+    """Steps 1-2 of one model, of its stage-cost table `costs`
+    (`profile.stage_costs[m]`) and its legal unit ids `ids`: its rate r, and
+    each stage's (unit, r * e / 1000), its term of step 3."""
     bounds = stage_bounds(ids)
-    times = [sum(costs[u][s:e]) + (transfer_ms if s > 0 else 0.0) for s, e, u in bounds]
+    times = [costs[u][s][e] + (transfer_ms if s > 0 else 0.0) for s, e, u in bounds]
     r = 1000.0 / max(times)
     return r, [(u, r * e / 1000.0) for (_, _, u), e in zip(bounds, times)]
 
@@ -187,7 +193,7 @@ def _avg_throughput(workload: Workload, ids: list, profile: DeviceProfile, memo:
     (model index, tuple of its ids), or made and stored there."""
     walks, end = [], 0
     for model_idx in workload.model_indices:
-        costs = profile.layer_costs[model_idx]
+        costs = profile.stage_costs[model_idx]
         start, end = end, end + len(costs[0])
         key = (model_idx, tuple(ids[start:end]))
         walk = memo.get(key)
@@ -202,7 +208,7 @@ def simulate(workload: Workload, mapping: Mapping, profile: DeviceProfile) -> Th
     """Score a mapping; deterministic and pure. See the module docstring."""
     validate_mapping(mapping, profile, workload)
     walks = [
-        _model_walk(profile.layer_costs[i], a, profile.transfer_ms)
+        _model_walk(profile.stage_costs[i], a, profile.transfer_ms)
         for i, a in zip(workload.model_indices, mapping.assignments)
     ]
     raw_load, theta = _contention(walks, profile.num_units)

@@ -4,8 +4,9 @@ Compute units, per-kernel benchmark times, DNN layer specs, device profiles,
 and workload mixes, plus a seeded synthetic profile generator that stands in
 for on-board benchmarking. Layer cost on a unit is the sum of its kernel
 times on that unit; `DeviceProfile.layer_costs` holds every layer cost of a
-profile, computed once, and `DeviceProfile.cost_array` the same table as a
-zero-padded numpy array.
+profile, computed once, `DeviceProfile.cost_array` the same table as a
+zero-padded numpy array, and `DeviceProfile.stage_costs` every stage cost,
+built a model at a time on first use.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ class DeviceProfile:
         )
 
     @cached_property
+    def stage_costs(self) -> dict:
+        """stage_costs[m][u][s][e]: the cost of model m's layers s to e - 1 on
+        unit u, for s < e. Each model's table is built when it is first read;
+        every stage cost in the package reads it."""
+        return _StageCosts(self.layer_costs)
+
+    @cached_property
     def cost_array(self) -> np.ndarray:
         """`layer_costs` as a read-only (models, units, max_layers) float64
         array, zero-padded on the right for models with fewer layers."""
@@ -193,6 +201,32 @@ class Workload:
 
 def workload_from_names(profile: DeviceProfile, names: list[str]) -> Workload:
     return Workload(tuple(profile.model_index(n) for n in names))
+
+
+def stage_cost_table(rows) -> tuple:
+    """table[u][s][e] == sum(rows[u][s:e]) for s < e (None for e <= s), of
+    one model's layer costs `rows[u][l]`. Each entry is the Python `sum` of
+    its slice, not a difference of prefix sums: `P[e] - P[s]` rounds
+    differently, and the searches compare near-equal scores."""
+    return tuple(
+        tuple(
+            (None,) * (s + 1) + tuple(sum(row[s:e]) for e in range(s + 1, len(row) + 1))
+            for s in range(len(row))
+        )
+        for row in rows
+    )
+
+
+class _StageCosts(dict):
+    """m -> `stage_cost_table(layer_costs[m])`, built on first use."""
+
+    def __init__(self, layer_costs):
+        super().__init__()
+        self.layer_costs = layer_costs
+
+    def __missing__(self, m: int) -> tuple:
+        table = self[m] = stage_cost_table(self.layer_costs[m])
+        return table
 
 
 def layer_cost(layer: LayerSpec, unit: int) -> float:

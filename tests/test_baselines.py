@@ -27,7 +27,7 @@ from pipeboost.simulator import (
     stage_bounds,
     validate_mapping,
 )
-from pipeboost.workload import Workload
+from pipeboost.workload import Workload, stage_cost_table
 
 
 # -------------------------------------------------- the plain loops, as references
@@ -66,7 +66,7 @@ def ga_by_loop(workload, profile, evaluator, config):
     """Tournament by `max` over a contenders list, fitness as a numpy array:
     the reference for `ga_schedule`."""
     models = [profile.models[i] for i in workload.model_indices]
-    costs = [profile.layer_costs[i] for i in workload.model_indices]
+    costs = [profile.stage_costs[i] for i in workload.model_indices]
     bounds = np.cumsum([0] + [m.num_layers for m in models])
     total = int(bounds[-1])
     rng = random.Random(config.seed)
@@ -286,7 +286,7 @@ def test_mosaic_refuses_a_stage_limit_below_one(gen_profile):
 # ---------------------------------------------------------------------- ga
 
 def test_merge_to_limit_reduces_stage_count(tiny_profile):
-    costs = tiny_profile.layer_costs[0]
+    costs = tiny_profile.stage_costs[0]
     out = merge_to_limit([0, 1, 2], costs, 2)
     assert len(stage_bounds(out)) <= 2
     assert len(out) == 3
@@ -300,7 +300,7 @@ def test_merge_to_limit_keeps_length_and_meets_limit(gen_profile, data):
     n = gen_profile.models[m].num_layers
     assignment = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     limit = data.draw(st.integers(1, 5))
-    out = merge_to_limit(assignment, gen_profile.layer_costs[m], limit)
+    out = merge_to_limit(assignment, gen_profile.stage_costs[m], limit)
     assert len(out) == n
     assert len(stage_bounds(out)) <= limit
     if len(stage_bounds(assignment)) <= limit:
@@ -317,7 +317,7 @@ def test_merge_to_limit_equals_rescan_reference(profile_seed):
         units = rng.randint(2, 3)  # two units make many equal-unit neighbors
         assignment = [rng.randrange(units) for _ in range(len(costs[0]))]
         limit = rng.randint(1, 6)
-        assert merge_to_limit(assignment, costs, limit) == merge_by_rescan(
+        assert merge_to_limit(assignment, profile.stage_costs[m], limit) == merge_by_rescan(
             assignment, costs, limit
         )
 
@@ -326,11 +326,12 @@ def test_merge_to_limit_breaks_ties_like_rescan_reference():
     # equal layer costs on every unit: stages of equal length tie, and the
     # first cheapest stage and the left neighbor must win
     costs = ((1.0,) * 12,) * 3
+    table = stage_cost_table(costs)
     rng = random.Random(5)
     for _ in range(500):
         assignment = [rng.randrange(3) for _ in range(12)]
         limit = rng.randint(1, 6)
-        assert merge_to_limit(assignment, costs, limit) == merge_by_rescan(
+        assert merge_to_limit(assignment, table, limit) == merge_by_rescan(
             assignment, costs, limit
         )
 
@@ -339,7 +340,7 @@ def test_merge_to_limit_merges_cheapest_into_cheaper_neighbor(tiny_profile):
     # costs on units: a0=2/4/8, a1=3/6/12, a2=1/2/4
     # stages of [0,1,2]: (a0@0: 2), (a1@1: 6), (a2@2: 4) -> victim a0,
     # its only neighbor is a1@1 -> layers 0 joins unit 1
-    out = merge_to_limit([0, 1, 2], tiny_profile.layer_costs[0], 2)
+    out = merge_to_limit([0, 1, 2], tiny_profile.stage_costs[0], 2)
     assert out == [1, 1, 2]
 
 
@@ -377,11 +378,27 @@ class CoarseEvaluator:
 
 
 def test_ga_checks_the_mapping_it_returns(tiny_profile, monkeypatch):
-    # the evaluators trust the GA's genes; the mapping it returns is checked once
-    bad = lambda genes, costs, limit: [3] * len(genes)  # noqa: E731
+    # the evaluators trust the GA's genes; the mapping it returns is checked
+    # once. Every gene mutates, so no child is a copy of its parent, and each
+    # model slice of each child reaches the repair.
+    calls = []
+
+    def bad(genes, costs, limit):
+        calls.append(genes)
+        return [3] * len(genes)
+
     monkeypatch.setattr("pipeboost.baselines.merge_to_limit", bad)
-    config = GaConfig(population=4, generations=1, elitism=0)
+    config = GaConfig(population=4, generations=1, elitism=0, mutation_rate=1.0)
     with pytest.raises(MappingError, match="^unit id 3 out of range$"):
+        ga_schedule(Workload((0, 1)), tiny_profile, CoarseEvaluator(), config)
+    assert len(calls) == 4 * 2
+
+
+def test_ga_checks_the_stage_limit_of_the_mapping_it_returns(tiny_profile, monkeypatch):
+    # a repair that lets an over-limit slice through is caught at the boundary
+    monkeypatch.setattr("pipeboost.baselines.merge_to_limit", lambda genes, costs, limit: genes)
+    config = GaConfig(population=4, generations=1, elitism=0, mutation_rate=1.0, stage_limit=1)
+    with pytest.raises(MappingError, match="^model 'mA': 2 stages, over the limit 1$"):
         ga_schedule(Workload((0, 1)), tiny_profile, CoarseEvaluator(), config)
 
 
@@ -421,6 +438,17 @@ def test_ga_equals_loop_reference(profile_seed, coarse):
             assert ga_schedule(wl, profile, evaluator, config) == ga_by_loop(
                 wl, profile, evaluator, config
             )
+
+
+def test_ga_equals_loop_reference_at_the_default_config():
+    # the bench's GA: 50 members, 100 generations, on 4-model mixes
+    profile = pb.generate_profile(11, seed=0)
+    evaluator = SimulatorEvaluator(profile)
+    for mix, seed in (((0, 3, 6, 9), 1), ((1, 4, 7, 10), 2)):
+        wl, config = Workload(mix), GaConfig(seed=seed)
+        assert ga_schedule(wl, profile, evaluator, config) == ga_by_loop(
+            wl, profile, evaluator, config
+        )
 
 
 def test_ga_config_validation():

@@ -370,6 +370,24 @@ def test_schedule_checks_the_mapping_it_returns(tiny_profile, monkeypatch):
         schedule(Workload((0, 1)), tiny_profile, ConstantEvaluator(), MctsConfig(budget=20))
 
 
+class StageCountEvaluator:
+    """Scores unit ids by their stage count: more stages score higher."""
+
+    def score_ids(self, workload, ids):
+        return len(stage_bounds(ids)) / len(ids)
+
+
+def test_schedule_checks_the_stage_limit_of_the_mapping_it_returns(tiny_profile, monkeypatch):
+    # a table that ignores the stage limit is caught at the boundary
+    def no_stage_limit(num_units, stage_limit, max_layers):
+        return legal_units(num_units, max_layers, max_layers)
+
+    monkeypatch.setattr("pipeboost.mcts.legal_units", no_stage_limit)
+    config = MctsConfig(budget=20, stage_limit=1)
+    with pytest.raises(MappingError, match="^model 'mA': 3 stages, over the limit 1$"):
+        schedule(Workload((0, 1)), tiny_profile, StageCountEvaluator(), config)
+
+
 def test_schedule_deterministic_per_seed(gen_profile):
     wl = Workload((0, 2))
     ev = SimulatorEvaluator(gen_profile)

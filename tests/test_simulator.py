@@ -179,6 +179,17 @@ def test_validate_mapping_names_the_first_bad_unit(tiny_profile, second, bad):
         validate_mapping(Mapping(((0, 1, 2), second)), tiny_profile, wl)
 
 
+def test_validate_mapping_checks_the_stage_limit_after_the_ids(tiny_profile):
+    wl = Workload((0, 1))
+    validate_mapping(Mapping(((0, 1, 2), (1, 2))), tiny_profile, wl, 3)
+    with pytest.raises(MappingError, match="^model 'mA': 3 stages, over the limit 2$"):
+        validate_mapping(Mapping(((0, 1, 2), (1, 2))), tiny_profile, wl, 2)
+    with pytest.raises(MappingError, match="^model 'mB': 2 stages, over the limit 1$"):
+        validate_mapping(Mapping(((0, 0, 0), (1, 2))), tiny_profile, wl, 1)
+    with pytest.raises(MappingError, match="^unit id 3 out of range$"):
+        validate_mapping(Mapping(((0, 1, 2), (1, 3))), tiny_profile, wl, 1)
+
+
 def test_simulate_refuses_a_float_unit_id(tiny_profile):
     # 1.0 == 1 is a member of range(3), but not an int
     wl = Workload((0, 1))

@@ -37,6 +37,26 @@ def test_layer_cost_table_equals_layer_cost(seed):
             assert profile.layer_costs[m][u] == tuple(layer_cost(l, u) for l in model.layers)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stage_cost_table_is_the_sum_of_each_slice(seed):
+    # exact equality: prefix-sum differences would round differently
+    profile = pb.generate_profile(3, seed=seed)
+    for m, rows in enumerate(profile.layer_costs):
+        table = profile.stage_costs[m]
+        for u, row in enumerate(rows):
+            for s in range(len(row)):
+                for e in range(s + 1, len(row) + 1):
+                    assert table[u][s][e] == sum(row[s:e])
+
+
+def test_stage_costs_build_only_the_models_read():
+    profile = pb.generate_profile(6, seed=0)
+    wl = Workload((4, 1))
+    pb.simulate(wl, pb.gpu_only(wl, profile), profile)
+    assert sorted(profile.stage_costs) == [1, 4]
+
+
 def test_profile_properties(tiny_profile):
     assert tiny_profile.num_units == 3
     assert tiny_profile.max_layers == 3
