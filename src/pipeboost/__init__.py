@@ -30,7 +30,6 @@ from .simulator import (
     load_mapping,
     save_mapping,
     simulate,
-    simulate_batch,
     stage_bounds,
     stages_of,
     validate_mapping,

@@ -20,10 +20,10 @@ import numpy as np
 from .simulator import (
     Mapping,
     ThroughputReport,
+    _avg_throughput,
     random_mapping_rng,
     randbelow,
     simulate,
-    simulate_batch,
     stage_bounds,
     validate_mapping,
 )
@@ -47,13 +47,15 @@ def random_best(
     max_stages: int = 3,
     seed: int = 0,
 ) -> tuple[Mapping, ThroughputReport]:
-    """Best of n uniformly random valid mappings, judged by simulated T;
-    the first drawn wins a tie."""
+    """Best of n uniformly random valid mappings by simulated T, scored through
+    one memo; the first drawn wins a tie. `simulate` checks the one returned."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     mappings = [random_mapping_rng(workload, profile, max_stages, rng) for _ in range(n)]
-    best = mappings[int(np.argmax(simulate_batch(workload, mappings, profile)))]
+    memo = {}
+    t = [_avg_throughput(workload, sum(m.assignments, ()), profile, memo) for m in mappings]
+    best = mappings[t.index(max(t))]
     return best, simulate(workload, best, profile)
 
 
@@ -240,8 +242,6 @@ def ga_schedule(
     stage limit included."""
     config = config or GaConfig()
     workload.validate_for(profile)
-    if len(workload) == 0:
-        raise ValueError("cannot schedule an empty workload")
     bounds = list(itertools.accumulate(
         (profile.models[i].num_layers for i in workload.model_indices), initial=0
     ))

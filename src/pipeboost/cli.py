@@ -189,6 +189,11 @@ def cmd_compare(args, parser: argparse.ArgumentParser) -> int:
     for spec_text in args.mix or []:
         mixes.append(workload_from_names(profile, spec_text.split(",")))
     if args.random_mixes:
+        if not 1 <= args.mix_size <= len(profile.models):
+            raise ValueError(
+                f"--mix-size must be in 1..{len(profile.models)}, the profile's model count; "
+                f"got {args.mix_size}"
+            )
         rng = random.Random(f"mixes:{args.seed}")
         for _ in range(args.random_mixes):
             mixes.append(

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .simulator import Mapping, _id_rows, _unit_ids
+from .simulator import Mapping, _unit_ids
 from .workload import DeviceProfile, Workload
 
 
@@ -40,26 +40,25 @@ def _cells(model_indices: tuple[int, ...], counts: tuple[int, ...], width: int) 
     return _freeze(np.array([m * width + l for m, n in zip(model_indices, counts) for l in range(n)]))
 
 
-def mapped_inputs(
+def mapped_input(
     embedding: np.ndarray,
     workload: Workload,
-    mappings: list[Mapping],
+    mapping: Mapping,
     profile: DeviceProfile,
 ) -> np.ndarray:
-    """The net inputs of `mappings` of one mix, stacked and read-only: each
-    mapping's (unit, model, layer) cells are copied from the embedding by one
-    gather, and every other cell is 0.0. Each mapping is checked by
-    `validate_mapping`'s rule, in one pass over the batch."""
-    rows = _id_rows(_unit_ids(mappings, profile, workload), len(mappings), workload, profile)
+    """The read-only net input of `mapping` of one mix: its (unit, model,
+    layer) cells are copied from the embedding by one gather, and every other
+    cell is 0.0. The mapping is checked by `validate_mapping`'s rule first."""
+    ids = _unit_ids(mapping, profile, workload)
     want = (profile.num_units, len(profile.models), profile.max_layers)
     if embedding.shape != want:
         raise ValueError(f"shape mismatch: embedding {embedding.shape}, profile {want}")
-    return _gather(embedding, workload, rows, profile)
+    return _gather(embedding, workload, [ids], profile)[0]
 
 
 def _gather(embedding: np.ndarray, workload: Workload, rows, profile: DeviceProfile) -> np.ndarray:
-    """`mapped_inputs` of `rows`, unchecked: `rows` holds legal unit ids flat in
-    mix order, a mapping a row, as an (N, L) array or N lists."""
+    """The stacked, read-only net inputs of `rows`, unchecked: legal unit ids
+    flat in mix order, a mapping a row, as an (N, L) array or N lists."""
     units = np.asarray(rows, dtype=np.intp)
     counts = tuple(profile.models[i].num_layers for i in workload.model_indices)
     cells = units * embedding[0].size + _cells(workload.model_indices, counts, embedding.shape[2])

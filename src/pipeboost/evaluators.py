@@ -1,16 +1,15 @@
 """Scalar mapping evaluators shared by the search algorithms.
 
 Each evaluator scores mappings of one mix in [0, 1] (higher is better) by
-two protocols with the same floats. Callers use `score` and `score_batch`,
-which check each mapping as `validate_mapping` does. The searches use
-`score_ids` and `score_rows` on unit ids flat in mix order, unchecked:
-`legal_units` and `merge_to_limit` make them legal, and each search checks
-the one mapping it returns. The estimator-backed evaluator is the default,
-as in the paper, where the net stands in for measuring each mapping on the
-board. The simulator-backed one scores with the analytic model that labels
-the net's training data: exact for it and much faster, for oracle runs. It
-keeps the memo of model walks of the mix it last scored, so a search walks
-each distinct assignment of a model once.
+one protocol: `score_ids` scores one mapping and `score_rows` a batch, with
+the same floats, on unit ids flat in mix order, unchecked. `legal_units`
+and `merge_to_limit` make the ids legal, and each search checks the mapping
+it returns by `validate_mapping`. The estimator-backed evaluator is the
+default, as in the paper, where the net stands in for measuring each
+mapping on the board. The simulator-backed one scores with the analytic
+model that labels the net's training data: exact for it and much faster,
+for oracle runs. It keeps the memo of model walks of the mix it last
+scored, so a search walks each distinct assignment of a model once.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import gpu_only
-from .embedding import _gather, build_embedding, mapped_inputs
+from .embedding import _gather, build_embedding
 from .estimator import EstimatorNet
-from .simulator import Mapping, _avg_throughput, _id_lists, _unit_ids, simulate
+from .simulator import _avg_throughput, simulate
 from .workload import DeviceProfile, Workload
 
 
@@ -39,19 +38,11 @@ class EstimatorEvaluator:
         self.profile = profile
         self.embedding = embedding if embedding is not None else build_embedding(profile)
 
-    def score(self, workload: Workload, mapping: Mapping) -> float:
-        return float(self.score_batch(workload, [mapping])[0])
-
-    def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
-        return self._readout(mapped_inputs(self.embedding, workload, mappings, self.profile))
-
     def score_ids(self, workload: Workload, ids: list[int]) -> float:
         return float(self.score_rows(workload, [ids])[0])
 
     def score_rows(self, workload: Workload, rows) -> np.ndarray:
-        return self._readout(_gather(self.embedding, workload, rows, self.profile))
-
-    def _readout(self, xs: np.ndarray) -> np.ndarray:
+        xs = _gather(self.embedding, workload, rows, self.profile)
         return np.clip(self.net.forward(xs), 0.0, 1.0).mean(axis=1)
 
 
@@ -82,15 +73,6 @@ class SimulatorEvaluator:
             self._ref = simulate(workload, gpu, self.profile).avg_throughput
             self._workload, self._memo = workload, {}
         return self._memo
-
-    def score(self, workload: Workload, mapping: Mapping) -> float:
-        """`score_ids` of `mapping` once it passes `validate_mapping`'s rule."""
-        return self.score_ids(workload, _unit_ids([mapping], self.profile, workload))
-
-    def score_batch(self, workload: Workload, mappings: list[Mapping]) -> np.ndarray:
-        """`score_rows` of `mappings` once each passes `validate_mapping`'s rule."""
-        flat = _unit_ids(mappings, self.profile, workload)
-        return self.score_rows(workload, _id_lists(flat, workload, self.profile))
 
     def score_ids(self, workload: Workload, ids: list[int]) -> float:
         memo = self._mix(workload)

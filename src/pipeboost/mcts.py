@@ -234,8 +234,6 @@ def schedule(
 ) -> tuple[Mapping, dict]:
     """Run the budgeted search and return the best complete mapping found."""
     config = config or MctsConfig()
-    if len(workload) == 0:
-        raise ValueError("cannot schedule an empty workload")
     workload.validate_for(profile)
     counts = [profile.models[i].num_layers for i in workload.model_indices]
     ends = list(itertools.accumulate(counts))

@@ -22,10 +22,14 @@ taken in layer order. It is not a difference of prefix sums: `P[e] - P[s]`
 rounds differently from the sum, and the searches compare near-equal
 scores, so a last-digit change can change the mapping they pick.
 
-`_avg_throughput` is the one scoring core, for `simulate_batch` and the
-simulator evaluator. It takes each model's walk (`_model_walk`, steps 1-3)
-from a memo keyed by (model index, the model's unit ids). T keeps its bits:
-`simulate` makes the same walks and adds the loads in the same order.
+`validate_mapping` is the rule of every checked entry: `simulate`,
+`stages_of`, `load_mapping` and the embedding's `mapped_input`. Each search
+checks the mapping it returns by it. `_avg_throughput` is the one scoring
+core, unchecked, for the simulator evaluator and `random_best`: it scores
+legal unit ids flat in mix order, and takes each model's walk
+(`_model_walk`, steps 1-3) from a memo keyed by (model index, the model's
+unit ids). T keeps its bits: `simulate` makes the same walks and adds the
+loads in the same order.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import MappingError, SearchSpaceError
 from .workload import (
@@ -97,7 +99,7 @@ def validate_mapping(
     tuple indexing; `1.0` and `np.int64(1)` are refused). The rule of every
     checked entry. With `max_stages`, the ids are checked first, then that
     no model has more than `max_stages` stages (naming the first that has)."""
-    _unit_ids([mapping], profile, workload)
+    _unit_ids(mapping, profile, workload)
     if max_stages is None:
         return
     for model_idx, assignment in zip(workload.model_indices, mapping.assignments):
@@ -107,29 +109,24 @@ def validate_mapping(
             raise MappingError(f"model {name!r}: {count} stages, over the limit {max_stages}")
 
 
-def _unit_ids(mappings: list[Mapping], profile: DeviceProfile, workload: Workload) -> list:
-    """The unit ids of `mappings`, flat in mix order, once all pass the rule of
+def _unit_ids(mapping: Mapping, profile: DeviceProfile, workload: Workload) -> list:
+    """The unit ids of `mapping`, flat in mix order, once it passes the rule of
     `validate_mapping`. It checks, in order: the workload (not empty, and in
-    the profile), each mapping's shape (naming the first wrong model), then
+    the profile), the mapping's shape (naming the first wrong model), then
     the ids (naming the first bad one)."""
-    if len(workload) == 0:
-        raise MappingError("workload has no models")
     workload.validate_for(profile)
     counts = [profile.models[i].num_layers for i in workload.model_indices]
-    flat = []
-    for mapping in mappings:
-        shape = list(map(len, mapping.assignments))
-        if shape != counts:
-            if len(shape) != len(counts):
-                raise MappingError(
-                    f"mapping has {len(shape)} models, "
-                    f"workload has {len(counts)} models of {counts} layers"
-                )
-            pos = next(p for p, (n, k) in enumerate(zip(shape, counts)) if n != k)
-            name = profile.models[workload.model_indices[pos]].name
-            raise MappingError(f"model {name!r}: {shape[pos]} assignments for {counts[pos]} layers")
-        for assignment in mapping.assignments:
-            flat += assignment
+    shape = list(map(len, mapping.assignments))
+    if shape != counts:
+        if len(shape) != len(counts):
+            raise MappingError(
+                f"mapping has {len(shape)} models, "
+                f"workload has {len(counts)} models of {counts} layers"
+            )
+        pos = next(p for p, (n, k) in enumerate(zip(shape, counts)) if n != k)
+        name = profile.models[workload.model_indices[pos]].name
+        raise MappingError(f"model {name!r}: {shape[pos]} assignments for {counts[pos]} layers")
+    flat = list(itertools.chain.from_iterable(mapping.assignments))
     # the membership test first, so that the sum meets only numbers equal to ids
     ids = frozenset(range(profile.num_units))
     if not ids.issuperset(flat) or type(sum(flat)) is not int:
@@ -226,30 +223,6 @@ def simulate(workload: Workload, mapping: Mapping, profile: DeviceProfile) -> Th
     )
 
 
-def _id_rows(flat: list, n: int, workload: Workload, profile: DeviceProfile) -> np.ndarray:
-    """`flat`, the unit ids of n mappings of `workload`, as an (n, layers) `np.intp` array."""
-    width = sum(profile.models[i].num_layers for i in workload.model_indices)
-    return np.fromiter(flat, dtype=np.intp, count=len(flat)).reshape(n, width)
-
-
-def _id_lists(flat: list, workload: Workload, profile: DeviceProfile) -> list[list]:
-    """`flat`, the unit ids of mappings of `workload`, as one list a mapping."""
-    width = sum(profile.models[i].num_layers for i in workload.model_indices)
-    return [flat[i : i + width] for i in range(0, len(flat), width)]
-
-
-def simulate_batch(
-    workload: Workload, mappings: list[Mapping], profile: DeviceProfile
-) -> np.ndarray:
-    """`simulate(...).avg_throughput` of each of `mappings` of one workload,
-    the scoring core once a mapping through one memo. Each mapping is
-    checked by `validate_mapping`'s rule, in one pass over the batch."""
-    rows, memo = _id_lists(_unit_ids(mappings, profile, workload), workload, profile), {}
-    return np.array(
-        [_avg_throughput(workload, ids, profile, memo) for ids in rows], dtype=np.float64
-    )
-
-
 # ---------------------------------------------------------------------------
 # Combinatorics and enumeration
 # ---------------------------------------------------------------------------
@@ -300,8 +273,6 @@ def exhaustive_best(
     vector, which is the first one encountered in enumeration order.
     """
     workload.validate_for(profile)
-    if len(workload) == 0:
-        raise ValueError("empty workload")
     layer_counts = [profile.models[i].num_layers for i in workload.model_indices]
     sizes = [count_assignments(n, profile.num_units, max_stages) for n in layer_counts]
     total = math.prod(sizes)

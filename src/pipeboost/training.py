@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import build_embedding, mapped_inputs
+from .embedding import build_embedding, mapped_input
 from .errors import DatasetError, MappingError
 from .estimator import EstimatorNet, TargetStats
 from .simulator import (
@@ -87,7 +87,7 @@ def generate_dataset(
         workload = Workload(tuple(rng.sample(range(len(profile.models)), size)))
         mapping = random_mapping_rng(workload, profile, profile.num_units, rng)
         report = simulate(workload, mapping, profile)
-        x = mapped_inputs(embedding, workload, [mapping], profile)[0]
+        x = mapped_input(embedding, workload, mapping, profile)
         samples.append(
             Sample(
                 input=x,
@@ -252,7 +252,7 @@ def load_dataset(path: str | Path, profile: DeviceProfile) -> list[Sample]:
             )
         target = [_float(v, f"{ctx}: target_raw", DatasetError) for v in target]
         try:
-            x = mapped_inputs(embedding, workload, [mapping], profile)[0]
+            x = mapped_input(embedding, workload, mapping, profile)
         except MappingError as exc:
             raise DatasetError(f"{ctx}: {exc}") from None
         samples.append(

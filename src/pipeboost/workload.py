@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ProfileError
+from .errors import MappingError, ProfileError
 
 OP_KINDS = ("conv", "pool", "fc", "act")
 
@@ -194,6 +194,9 @@ class Workload:
         return len(self.model_indices)
 
     def validate_for(self, profile: DeviceProfile) -> None:
+        """Refuse an empty mix (`MappingError`), then a model index not in `profile`."""
+        if not self.model_indices:
+            raise MappingError("workload has no models")
         for i in self.model_indices:
             if i >= len(profile.models):
                 raise ValueError(f"model index {i} out of range for profile")

@@ -90,7 +90,7 @@ def ga_by_loop(workload, profile, evaluator, config):
     ]
 
     def evaluate(pop):
-        return evaluator.score_batch(workload, [to_mapping(g) for g in pop])
+        return evaluator.score_rows(workload, pop)
 
     def tournament(fitness):
         contenders = [rng.randrange(config.population) for _ in range(config.tournament_k)]
@@ -369,9 +369,6 @@ def test_ga_deterministic_and_improves_over_generation_zero(gen_profile):
 
 class CoarseEvaluator:
     """Three distinct scores, so most tournaments meet a tie."""
-
-    def score_batch(self, workload, mappings):
-        return np.array([float(sum(a.count(0) for a in m.assignments) % 3) for m in mappings])
 
     def score_rows(self, workload, rows):
         return np.array([float(row.count(0) % 3) for row in rows])

@@ -217,6 +217,20 @@ def test_compare_stage_limit_below_one_is_a_clean_error(cli_workspace, capsys, m
     assert "error:" in err and "stage" in err
 
 
+@pytest.mark.parametrize("size", [0, 7])
+def test_compare_mix_size_outside_the_profile_is_a_clean_error(cli_workspace, capsys, size):
+    # the workspace profile has 6 models
+    code, _, err = run(
+        capsys, "compare", "--profile", str(cli_workspace / "profile.json"),
+        "--evaluator", "simulator", "--methods", "gpu",
+        "--random-mixes", "1", "--mix-size", str(size),
+    )
+    assert code == 1
+    assert err == (
+        f"error: --mix-size must be in 1..6, the profile's model count; got {size}\n"
+    )
+
+
 def test_compare_json_output(cli_workspace, capsys):
     prof = cli_workspace / "profile.json"
     code, out, _ = run(

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from pipeboost.embedding import build_embedding, mapped_inputs
+from pipeboost.embedding import build_embedding, mapped_input
 from pipeboost.errors import MappingError
 from pipeboost.simulator import Mapping, random_mapping_rng
 from pipeboost.workload import Workload, generate_profile, layer_cost
@@ -29,7 +29,7 @@ def test_embedding_zero_padding(tiny_profile):
 
 def masked_by_loop(embedding, workload, mapping):
     """The embedding times a boolean mask that is one-hot over the unit axis
-    for each (model-in-mix, layer) cell: the reference for `mapped_inputs`."""
+    for each (model-in-mix, layer) cell: the reference for `mapped_input`."""
     mask = np.zeros(embedding.shape, dtype=bool)
     for pos, model_idx in enumerate(workload.model_indices):
         for l, unit in enumerate(mapping.assignments[pos]):
@@ -39,7 +39,7 @@ def masked_by_loop(embedding, workload, mapping):
 
 def test_embedding_is_readonly(tiny_profile):
     emb = build_embedding(tiny_profile)
-    for arr in (emb, mapped_inputs(emb, Workload((1,)), [Mapping(((0, 0),))], tiny_profile)):
+    for arr in (emb, mapped_input(emb, Workload((1,)), Mapping(((0, 0),)), tiny_profile)):
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1
 
@@ -47,7 +47,7 @@ def test_embedding_is_readonly(tiny_profile):
 def test_mask_one_hot_over_units(tiny_profile):
     wl = Workload((0, 1))
     m = Mapping(((0, 1, 2), (2, 0)))
-    x = mapped_inputs(build_embedding(tiny_profile), wl, [m], tiny_profile)[0]
+    x = mapped_input(build_embedding(tiny_profile), wl, m, tiny_profile)
     mask = x != 0.0  # every real layer of the tiny profile costs > 0
     assert x.shape == (3, 2, 3)
     # every (model-in-mix, real layer) column has exactly one unit set
@@ -61,13 +61,13 @@ def test_mask_one_hot_over_units(tiny_profile):
 
 
 def test_mask_absent_model_rows_are_empty(tiny_profile):
-    x = mapped_inputs(build_embedding(tiny_profile), Workload((1,)), [Mapping(((0, 0),))], tiny_profile)
-    assert not x[0, :, 0, :].any()  # mA not in the mix
+    x = mapped_input(build_embedding(tiny_profile), Workload((1,)), Mapping(((0, 0),)), tiny_profile)
+    assert not x[:, 0, :].any()  # mA not in the mix
 
 
 def test_masked_input_values(tiny_profile):
     emb = build_embedding(tiny_profile)
-    x = mapped_inputs(emb, Workload((0,)), [Mapping(((1, 1, 1),))], tiny_profile)[0]
+    x = mapped_input(emb, Workload((0,)), Mapping(((1, 1, 1),)), tiny_profile)
     # only mA's row on unit 1 survives
     expected = np.array([layer_cost(l, 1) for l in tiny_profile.models[0].layers])
     np.testing.assert_allclose(x[1, 0, :], expected / 12.0)
@@ -78,7 +78,9 @@ def test_masked_input_shape_mismatch(tiny_profile, gen_profile):
     wl = Workload((0,))
     good = Mapping(((0,) * gen_profile.models[0].num_layers,))
     with pytest.raises(ValueError, match="shape mismatch"):
-        mapped_inputs(build_embedding(tiny_profile), wl, [good], gen_profile)
+        mapped_input(build_embedding(tiny_profile), wl, good, gen_profile)
+    with pytest.raises(MappingError):  # the mapping is checked first
+        mapped_input(build_embedding(tiny_profile), wl, Mapping(((0,),)), gen_profile)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -90,14 +92,13 @@ def test_mapped_inputs_equal_masked_inputs(seed):
         wl = Workload(tuple(rng.sample(range(6), rng.randint(1, 5))))
         maps = [random_mapping_rng(wl, profile, rng.randint(1, 4), rng) for _ in range(rng.randint(1, 4))]
         want = np.array([masked_by_loop(emb, wl, m) for m in maps])
-        got = mapped_inputs(emb, wl, maps, profile)
+        got = np.array([mapped_input(emb, wl, m, profile) for m in maps])
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_mapped_inputs_keep_the_mask_checks(tiny_profile):
     wl = Workload((0, 1))
     emb = build_embedding(tiny_profile)
-    good = Mapping(((0, 1, 2), (1, 1)))
     for bad, match in (
         (Mapping(((0, 1, 3), (1, 1))), "unit id 3"),
         (Mapping(((0, 1.5, 2), (1, 1))), r"unit id 1\.5"),  # not truncated to unit 1
@@ -108,11 +109,10 @@ def test_mapped_inputs_keep_the_mask_checks(tiny_profile):
         (Mapping(((0, 1, 2), (np.int64(1), 1))), r"unit id np\.int64\(1\)"),
     ):
         with pytest.raises(MappingError, match=match):
-            mapped_inputs(emb, wl, [good, bad], tiny_profile)
+            mapped_input(emb, wl, bad, tiny_profile)
 
 
 def test_mapped_inputs_refuse_an_empty_workload(tiny_profile):
     emb = build_embedding(tiny_profile)
-    for mappings in ([Mapping(())], []):
-        with pytest.raises(MappingError, match="^workload has no models$"):
-            mapped_inputs(emb, Workload(()), mappings, tiny_profile)
+    with pytest.raises(MappingError, match="^workload has no models$"):
+        mapped_input(emb, Workload(()), Mapping(()), tiny_profile)

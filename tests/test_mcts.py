@@ -195,7 +195,8 @@ def schedule_by_states(workload, profile, evaluator, config):
             node.children.append(child)
             node = child
         terminal, _ = rollout_by_steps(node.state, rng, config)
-        reward = 1.0 + evaluator.score(workload, terminal.mapping())
+        ids = [u for a in terminal.mapping().assignments for u in a]
+        reward = 1.0 + evaluator.score_ids(workload, ids)
         if reward > best_reward:
             best_reward, best_mapping = reward, terminal.mapping()
         while node is not None:
@@ -209,9 +210,6 @@ class ConstantEvaluator:
     """Every mapping scores 0.5, so every reward ties and UCT's first-max
     rule alone picks the path."""
 
-    def score(self, workload, mapping):
-        return 0.5
-
     def score_ids(self, workload, ids):
         return 0.5
 
@@ -223,10 +221,6 @@ class Recorder:
 
     def __init__(self, inner):
         self.inner, self.scored = inner, []
-
-    def score(self, workload, mapping):
-        self.scored.append(tuple(u for a in mapping.assignments for u in a))
-        return self.inner.score(workload, mapping)
 
     def score_ids(self, workload, ids):
         self.scored.append(tuple(ids))
@@ -333,16 +327,16 @@ def test_legal_units_table_is_the_rule_of_actions(tiny_profile):
 
 
 def test_simulator_score_of_a_walked_mapping(tiny_profile):
-    # a complete state's mapping scores T / (T + T_ref), as the flat ids the
-    # search rewards do; an incomplete mapping is refused
+    # a complete state's mapping scores T / (T + T_ref) as the flat ids the
+    # search rewards; an incomplete mapping is refused at the boundary
     ev = SimulatorEvaluator(tiny_profile)
     done = walk(initial_state(Workload((0,)), tiny_profile, CFG), [0, 0, 0])
     t = simulate(done.workload, done.mapping(), tiny_profile).avg_throughput
     ref = simulate(done.workload, gpu_only(done.workload, tiny_profile), tiny_profile).avg_throughput
-    assert ev.score(done.workload, done.mapping()) == t / (t + ref)
+    assert done.mapping() == Mapping(((0, 0, 0),))
     assert ev.score_ids(done.workload, [0, 0, 0]) == t / (t + ref)
     with pytest.raises(MappingError):
-        ev.score(done.workload, Mapping(((0, 0),)))
+        validate_mapping(Mapping(((0, 0),)), tiny_profile, done.workload)
 
 
 # ------------------------------------------------------------- end to end
@@ -397,7 +391,7 @@ def test_schedule_deterministic_per_seed(gen_profile):
 
 
 def test_schedule_rejects_empty(gen_profile):
-    with pytest.raises(ValueError):
+    with pytest.raises(MappingError, match="^workload has no models$"):
         schedule(Workload(()), gen_profile, SimulatorEvaluator(gen_profile))
 
 

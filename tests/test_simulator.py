@@ -29,7 +29,6 @@ from pipeboost.simulator import (
     randbelow,
     save_mapping,
     simulate,
-    simulate_batch,
     stage_bounds,
     stages_of,
     validate_mapping,
@@ -155,13 +154,20 @@ def test_stage_cost_is_the_left_to_right_sum_of_layer_costs(seed, rng):
 
 
 def test_validate_mapping_errors(tiny_profile):
-    wl = Workload((0, 1))
+    wl = Workload((0, 1))  # 3 + 2 layers
     with pytest.raises(MappingError):
         validate_mapping(Mapping(((0, 0, 1),)), tiny_profile, wl)  # model count
     with pytest.raises(MappingError):
         validate_mapping(Mapping(((0, 0), (2, 2))), tiny_profile, wl)  # layer count
     with pytest.raises(MappingError):
         validate_mapping(Mapping(((0, 0, 3), (2, 2))), tiny_profile, wl)  # unit range
+    for bad, match in (
+        (Mapping(((0, 1), (2, 1, 1))), "^model 'mA': 2 assignments for 3 layers$"),  # the same 5 units
+        (Mapping(((0, 1, 2, 1, 1),)), r"^mapping has 1 models, workload has 2 models of \[3, 2\]"),
+        (Mapping(((0, 1, 2), (1,))), "^model 'mB': 1 assignments for 2 layers$"),  # a layer short
+    ):
+        with pytest.raises(MappingError, match=match):
+            validate_mapping(bad, tiny_profile, wl)
 
 
 @pytest.mark.parametrize(
@@ -258,7 +264,7 @@ def test_simulate_equals_stage_reference(seed, layer_range, size, limit, rng):
         assert simulate(wl, mapping, profile) == simulate_by_stages(wl, mapping, profile)
 
 
-# ------------------------------------------------------------ batch path
+# ------------------------------------------------------------ scoring core
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -268,8 +274,9 @@ def test_simulate_equals_stage_reference(seed, layer_range, size, limit, rng):
     st.sampled_from([1, 2, 3, None]),
     st.randoms(use_true_random=False),
 )
-def test_simulate_batch_equals_simulate(seed, size, n, limit, rng):
-    # exact equality: the GA and random-best rank mappings by these floats
+def test_avg_throughput_equals_simulate(seed, size, n, limit, rng):
+    # exact equality: the searches and random-best rank mappings by these
+    # floats, scored through one fresh memo
     profile = pb.generate_profile(5, seed=seed)
     wl = Workload(tuple(rng.sample(range(5), size)))
     if limit is None:  # unconstrained: an independent unit per layer
@@ -283,32 +290,11 @@ def test_simulate_batch_equals_simulate(seed, size, n, limit, rng):
     else:
         maps = [random_mapping_rng(wl, profile, limit, rng) for _ in range(n)]
     expected = [simulate(wl, m, profile).avg_throughput for m in maps]
-    assert np.array_equal(simulate_batch(wl, maps, profile), expected)
+    memo = {}
+    assert [_avg_throughput(wl, sum(m.assignments, ()), profile, memo) for m in maps] == expected
 
 
-def test_simulate_batch_rejects_bad_mappings(tiny_profile):
-    wl = Workload((0, 1))  # 3 + 2 layers
-    good = Mapping(((0, 1, 2), (1, 1)))
-    assert simulate_batch(wl, [good], tiny_profile)[0] == simulate(wl, good, tiny_profile).avg_throughput
-    assert simulate_batch(wl, [], tiny_profile).shape == (0,)
-    for bad, match in (
-        (Mapping(((0, 1), (2, 1, 1))), "layers"),  # the same 5 units, split 2 + 3
-        (Mapping(((0, 1, 2, 1, 1),)), "layers"),  # all in one model
-        (Mapping(((0, 1, 2), (1,))), "layers"),  # a layer short
-        (Mapping(((0, 1, 3), (1, 1))), "^unit id 3 out of range$"),
-        (Mapping(((0, 1, 2), (1, -1))), "^unit id -1 out of range$"),
-        (Mapping(((0, 1.5, 2), (1, 1))), r"^unit id 1\.5 out of range$"),  # not unit 1
-        (Mapping(((0, 1, 2), ("1", 1))), "^unit id '1' out of range$"),
-        (Mapping(((0, 1.0, 2), (1, 1))), r"^unit id 1\.0 out of range$"),  # not unit 1
-        (Mapping(((0, 1, 2), (np.int64(1), 1))), r"^unit id np\.int64\(1\) out of range$"),
-    ):
-        with pytest.raises(MappingError, match=match):
-            simulate_batch(wl, [good, bad], tiny_profile)
-    with pytest.raises(ValueError):
-        simulate_batch(Workload(()), [Mapping(())], tiny_profile)
-
-
-def test_simulate_batch_adds_each_units_stages_in_simulates_order():
+def test_avg_throughput_adds_each_units_stages_in_simulates_order():
     # Both models run on units 0, 1, 0, 1, 0, so unit 0 holds three stages of
     # each. These costs make unit 0's load, and so theta, depend on the order
     # of its six additions: one unit's stages must be added in (model, stage)
@@ -338,7 +324,8 @@ def test_simulate_batch_adds_each_units_stages_in_simulates_order():
         Mapping(((0, 0, 0, 0, 0), (1, 0, 1, 0, 1))),
     ]
     want = [simulate(wl, m, profile).avg_throughput for m in maps]
-    assert np.array_equal(simulate_batch(wl, maps, profile), want)
+    memo = {}
+    assert [_avg_throughput(wl, sum(m.assignments, ()), profile, memo) for m in maps] == want
 
 
 def test_one_memo_keys_each_walk_by_model_and_ids():
