@@ -54,6 +54,29 @@ def test_score_batch_of_no_mappings_is_empty(gen_profile, quick_net, kind):
     assert out.shape == (0,) and out.dtype == np.float64
 
 
+def test_simulator_evaluator_batch_checks_each_model_length(tiny_profile):
+    # A batch row is the mapping's ids flat in mix order, which hide each
+    # model's length: a 2 + 3 split of the same five ids scores as the good
+    # 3 + 2 one. So each model's length is checked on the mapping, by
+    # `validate_mapping` and the checked entries that run it.
+    ev = SimulatorEvaluator(tiny_profile)
+    wl = Workload((0, 1))  # 3 + 2 layers
+    good = Mapping(((0, 1, 2), (1, 1)))
+    swapped = Mapping(((0, 1), (2, 1, 1)))  # the same 5 units when joined
+    assert flat(swapped) == flat(good)
+    want = ev.score_ids(wl, flat(good))
+    assert ev.score_rows(wl, [flat(good), flat(swapped)]).tolist() == [want, want]
+    validate_mapping(good, tiny_profile, wl)
+    embedding = build_embedding(tiny_profile)
+    for bad in (swapped, Mapping(((0, 1, 2, 1, 1),)), Mapping(((0, 1, 2), (1, 3)))):
+        with pytest.raises(MappingError):
+            validate_mapping(bad, tiny_profile, wl)
+        with pytest.raises(MappingError):
+            simulate(wl, bad, tiny_profile)
+        with pytest.raises(MappingError):
+            mapped_input(embedding, wl, bad, tiny_profile)
+
+
 @pytest.mark.parametrize("kind", ["simulator", "estimator"])
 def test_evaluators_refuse_an_empty_workload(gen_profile, quick_net, kind):
     # the evaluators score unchecked ids; the searches that call them refuse

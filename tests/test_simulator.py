@@ -294,6 +294,33 @@ def test_avg_throughput_equals_simulate(seed, size, n, limit, rng):
     assert [_avg_throughput(wl, sum(m.assignments, ()), profile, memo) for m in maps] == expected
 
 
+def test_simulate_batch_rejects_bad_mappings(tiny_profile):
+    # A batch of mappings is scored by `_avg_throughput` on unchecked ids and
+    # checked at `simulate`: a good member scores as `simulate` reports it,
+    # and each bad member is refused by its own message.
+    wl = Workload((0, 1))  # 3 + 2 layers
+    good = Mapping(((0, 1, 2), (1, 1)))
+    memo = {}
+    assert _avg_throughput(wl, (0, 1, 2, 1, 1), tiny_profile, memo) == simulate(
+        wl, good, tiny_profile
+    ).avg_throughput
+    for bad, match in (
+        (Mapping(((0, 1), (2, 1, 1))), "layers"),  # the same 5 units, split 2 + 3
+        (Mapping(((0, 1, 2, 1, 1),)), "layers"),  # all in one model
+        (Mapping(((0, 1, 2), (1,))), "layers"),  # a layer short
+        (Mapping(((0, 1, 3), (1, 1))), "^unit id 3 out of range$"),
+        (Mapping(((0, 1, 2), (1, -1))), "^unit id -1 out of range$"),
+        (Mapping(((0, 1.5, 2), (1, 1))), r"^unit id 1\.5 out of range$"),  # not unit 1
+        (Mapping(((0, 1, 2), ("1", 1))), "^unit id '1' out of range$"),
+        (Mapping(((0, 1.0, 2), (1, 1))), r"^unit id 1\.0 out of range$"),  # not unit 1
+        (Mapping(((0, 1, 2), (np.int64(1), 1))), r"^unit id np\.int64\(1\) out of range$"),
+    ):
+        with pytest.raises(MappingError, match=match):
+            [simulate(wl, m, tiny_profile) for m in (good, bad)]
+    with pytest.raises(ValueError):
+        simulate(Workload(()), Mapping(()), tiny_profile)
+
+
 def test_avg_throughput_adds_each_units_stages_in_simulates_order():
     # Both models run on units 0, 1, 0, 1, 0, so unit 0 holds three stages of
     # each. These costs make unit 0's load, and so theta, depend on the order
