@@ -4,9 +4,10 @@ The regression baseline fits per-unit least squares over simple layer
 features and then, for each model independently, picks the assignment
 minimizing the predicted bottleneck stage time — deliberately blind to
 contention between models, which is exactly the weakness the tree search
-is meant to expose. The GA evolves flat per-layer unit strings under the
-same evaluator the tree search uses, with a repair pass that merges the
-cheapest stage into its cheaper neighbor until the stage limit holds.
+is meant to expose. The GA evolves mappings, one unit tuple per model,
+under the same evaluator the tree search uses, with a repair pass that
+merges the cheapest stage into its cheaper neighbor until the stage limit
+holds.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def random_best(
     rng = random.Random(seed)
     mappings = [random_mapping_rng(workload, profile, max_stages, rng) for _ in range(n)]
     memo = {}
-    t = [_avg_throughput(workload, sum(m.assignments, ()), profile, memo) for m in mappings]
+    t = [_avg_throughput(workload, m.assignments, profile, memo) for m in mappings]
     best = mappings[t.index(max(t))]
     return best, simulate(workload, best, profile)
 
@@ -179,7 +180,7 @@ class GaConfig:
             raise ValueError("stage_limit must be >= 1")
 
 
-def merge_to_limit(assignment: list[int], costs, limit: int) -> list[int]:
+def merge_to_limit(assignment: tuple[int, ...], costs, limit: int) -> tuple[int, ...]:
     """Repair pass: merge the cheapest stage into its cheaper-cost adjacent
     neighbor (reassigning its layers to the neighbor's unit) until the
     assignment has at most `limit` stages. `costs[u][s][e]` is the model's
@@ -189,10 +190,11 @@ def merge_to_limit(assignment: list[int], costs, limit: int) -> list[int]:
     `stages` and `cost` are kept equal to the stages of the merged
     assignment and their costs: a merge joins the victim, the target and,
     when it is on the target's unit too, the victim's other neighbor into one
-    run. The output is written once, from the final stages."""
+    run. The output is written once, from the final stages; an assignment
+    already within the limit is returned as it is."""
     stages = stage_bounds(assignment)
     if len(stages) <= limit:
-        return list(assignment)
+        return assignment
     cost = [costs[u][s][e] for s, e, u in stages]
     while len(stages) > limit:
         victim = cost.index(min(cost))
@@ -213,7 +215,7 @@ def merge_to_limit(assignment: list[int], costs, limit: int) -> list[int]:
     out = []
     for s, e, u in stages:
         out += [u] * (e - s)
-    return out
+    return tuple(out)
 
 
 def ga_schedule(
@@ -222,9 +224,10 @@ def ga_schedule(
     evaluator,
     config: GaConfig | None = None,
 ) -> Mapping:
-    """Evolve flat per-layer unit strings under `evaluator`. The random draws
-    come in a fixed order (initial population; then per child two
-    tournaments, a crossover point and one draw per gene), so a seed fixes
+    """Evolve mappings under `evaluator`, each a tuple of per-model unit
+    tuples, the shape of `Mapping.assignments`. The random draws come in a
+    fixed order (initial population; then per child two tournaments, a
+    crossover point and one draw per gene, model by model), so a seed fixes
     the result.
 
     Past the initial population (`random_mapping_rng`), each tournament
@@ -235,11 +238,12 @@ def ga_schedule(
     the seed's `getrandbits` and `random()` streams; `tests/test_simulator.py`
     pins the draw.
 
-    Every member is legal: the initial draws, the elites and the repaired
-    children. So a child's model slice that no crossover point splits and
-    no mutation changed equals its parent's and skips `merge_to_limit`,
-    which would return it unchanged. The returned mapping is checked,
-    stage limit included."""
+    The crossover point cuts the mix's layers in mix order: a child's model
+    that it does not split comes whole from one parent. Every member is
+    legal: the initial draws, the elites and the repaired children. So a
+    model that no crossover point splits and no mutation changed keeps its
+    parent's tuple and skips `merge_to_limit`, which would return it
+    unchanged. The returned mapping is checked, stage limit included."""
     config = config or GaConfig()
     workload.validate_for(profile)
     bounds = list(itertools.accumulate(
@@ -255,7 +259,7 @@ def ga_schedule(
     rng = random.Random(config.seed)
     getrandbits, draw = rng.getrandbits, rng.random
 
-    def tournament(fitness: list[float]) -> list[int]:
+    def tournament(fitness: list[float]) -> tuple:
         """Best of k drawn indices by fitness, the lower index on a tie."""
         best = randbelow(getrandbits, size)
         for _ in range(k - 1):
@@ -265,28 +269,28 @@ def ga_schedule(
         return population[best]
 
     population = [
-        [u for a in random_mapping_rng(workload, profile, limit, rng).assignments for u in a]
-        for _ in range(size)
+        random_mapping_rng(workload, profile, limit, rng).assignments for _ in range(size)
     ]
     for _ in range(config.generations):
         fitness = evaluator.score_rows(workload, population).tolist()
         order = sorted(range(size), key=lambda i: (-fitness[i], i))
-        nxt = [list(population[i]) for i in order[: config.elitism]]
+        nxt = [population[i] for i in order[: config.elitism]]
         while len(nxt) < size:
             p1, p2 = tournament(fitness), tournament(fitness)
             point = 1 + randbelow(getrandbits, total - 1) if total > 1 else 0
-            child = [
-                randbelow(getrandbits, n_units) if draw() < rate else g
-                for g in p1[:point] + p2[point:]
-            ]
-            for s, e, costs in spans:
-                if s < point < e or child[s:e] != (p1 if point >= e else p2)[s:e]:
-                    child[s:e] = merge_to_limit(child[s:e], costs, limit)
-            nxt.append(child)
+            child = []
+            for pos, (s, e, costs) in enumerate(spans):
+                split = s < point < e
+                if split:
+                    a = p1[pos][: point - s] + p2[pos][point - s :]
+                else:
+                    a = (p1 if point >= e else p2)[pos]
+                genes = tuple([randbelow(getrandbits, n_units) if draw() < rate else g for g in a])
+                child.append(merge_to_limit(genes, costs, limit) if split or genes != a else a)
+            nxt.append(tuple(child))
         population = nxt
 
     fitness = evaluator.score_rows(workload, population).tolist()
-    genes = population[max(range(size), key=lambda i: (fitness[i], -i))]
-    best = Mapping(tuple(tuple(genes[s:e]) for s, e, _ in spans))
+    best = Mapping(population[max(range(size), key=lambda i: (fitness[i], -i))])
     validate_mapping(best, profile, workload, limit)
     return best

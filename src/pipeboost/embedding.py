@@ -12,10 +12,11 @@ cell is 0.0.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
-from .simulator import Mapping, _unit_ids
+from .simulator import Mapping, validate_mapping
 from .workload import DeviceProfile, Workload
 
 
@@ -49,18 +50,21 @@ def mapped_input(
     """The read-only net input of `mapping` of one mix: its (unit, model,
     layer) cells are copied from the embedding by one gather, and every other
     cell is 0.0. The mapping is checked by `validate_mapping`'s rule first."""
-    ids = _unit_ids(mapping, profile, workload)
+    validate_mapping(mapping, profile, workload)
     want = (profile.num_units, len(profile.models), profile.max_layers)
     if embedding.shape != want:
         raise ValueError(f"shape mismatch: embedding {embedding.shape}, profile {want}")
-    return _gather(embedding, workload, [ids], profile)[0]
+    return _gather(embedding, workload, [mapping.assignments], profile)[0]
 
 
 def _gather(embedding: np.ndarray, workload: Workload, rows, profile: DeviceProfile) -> np.ndarray:
-    """The stacked, read-only net inputs of `rows`, unchecked: legal unit ids
-    flat in mix order, a mapping a row, as an (N, L) array or N lists."""
-    units = np.asarray(rows, dtype=np.intp)
+    """The stacked, read-only net inputs of `rows`, unchecked: one mapping's
+    per-model tuples of legal unit ids a row, flattened here in mix order.
+    No rows give an empty (0, *embedding.shape) stack."""
     counts = tuple(profile.models[i].num_layers for i in workload.model_indices)
+    width = sum(counts)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
+    units = np.fromiter(flat, np.intp, len(rows) * width).reshape(len(rows), width)
     cells = units * embedding[0].size + _cells(workload.model_indices, counts, embedding.shape[2])
     out = np.zeros((len(units), embedding.size))
     out[np.arange(len(units))[:, None], cells] = embedding.reshape(-1)[cells]

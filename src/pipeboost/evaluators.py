@@ -2,9 +2,10 @@
 
 Each evaluator scores mappings of one mix in [0, 1] (higher is better) by
 one protocol: `score_ids` scores one mapping and `score_rows` a batch, with
-the same floats, on unit ids flat in mix order, unchecked. `legal_units`
-and `merge_to_limit` make the ids legal, and each search checks the mapping
-it returns by `validate_mapping`. The estimator-backed evaluator is the
+the same floats, unchecked. A mapping comes in the shape of
+`Mapping.assignments`: one tuple of legal unit ids per model of the mix.
+`legal_units` and `merge_to_limit` make the ids legal, and each search
+checks the mapping it returns by `validate_mapping`. The estimator-backed evaluator is the
 default, as in the paper, where the net stands in for measuring each
 mapping on the board. The simulator-backed one scores with the analytic
 model that labels the net's training data: exact for it and much faster,
@@ -38,8 +39,8 @@ class EstimatorEvaluator:
         self.profile = profile
         self.embedding = embedding if embedding is not None else build_embedding(profile)
 
-    def score_ids(self, workload: Workload, ids: list[int]) -> float:
-        return float(self.score_rows(workload, [ids])[0])
+    def score_ids(self, workload: Workload, assignments) -> float:
+        return float(self.score_rows(workload, [assignments])[0])
 
     def score_rows(self, workload: Workload, rows) -> np.ndarray:
         xs = _gather(self.embedding, workload, rows, self.profile)
@@ -74,14 +75,14 @@ class SimulatorEvaluator:
             self._workload, self._memo = workload, {}
         return self._memo
 
-    def score_ids(self, workload: Workload, ids: list[int]) -> float:
+    def score_ids(self, workload: Workload, assignments) -> float:
         memo = self._mix(workload)
-        t = _avg_throughput(workload, ids, self.profile, memo)
+        t = _avg_throughput(workload, assignments, self.profile, memo)
         return t / (t + self._ref)
 
     def score_rows(self, workload: Workload, rows) -> np.ndarray:
         memo = self._mix(workload)
         t = np.array(
-            [_avg_throughput(workload, ids, self.profile, memo) for ids in rows], dtype=np.float64
+            [_avg_throughput(workload, a, self.profile, memo) for a in rows], dtype=np.float64
         )
         return t / (t + self._ref)

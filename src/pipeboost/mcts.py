@@ -10,13 +10,14 @@ included.
 The search runs on a flat path: a tree node holds only its unit, children,
 untried units and statistics. Each iteration replays its path from the root
 onto one flat list of the mix's layer units, counting the current model's
-stages, `rollout` continues that list, and its reward is 1 + the
-evaluator's unchecked `score_ids`, a score in [0, 1]. The tree and the
-rollout read legal units from one table, `legal_units`. `SearchState`,
-`initial_state`, `actions` and `apply` are the same rules one move at a
-time, the reference the tests hold the flat path to; no workflow calls
-them, and they stay in the package because `bench/test_bench_helpers.py`
-pins `mcts.apply`.
+stages, and `rollout` continues that list. The complete list is cut once
+into per-model tuples, the shape of `Mapping.assignments` that the
+evaluators score, and its reward is 1 + the evaluator's unchecked
+`score_ids`, a score in [0, 1]. The tree and the rollout read legal units
+from one table, `legal_units`. `SearchState`, `initial_state`, `actions`
+and `apply` are the same rules one move at a time, the reference the tests
+hold the flat path to; no workflow calls them, and they stay in the
+package because `bench/test_bench_helpers.py` pins `mcts.apply`.
 
 The rollout's moves are the search's only random draws. A free move runs
 the loop of `simulator.randbelow`, the one behind `Random.choice`, with its
@@ -242,7 +243,7 @@ def schedule(
     legal = legal_units(profile.num_units, config.stage_limit, max(counts))
     rng = random.Random(config.seed)
     root = _Node(None, list(legal[0, None][0]))
-    score_ids, best_reward, best_units = evaluator.score_ids, -math.inf, None
+    score_ids, best_reward, best = evaluator.score_ids, -math.inf, None
     t0 = time.perf_counter()
 
     for _ in range(config.budget):
@@ -261,14 +262,15 @@ def schedule(
         if node is not path[-1] and len(units) < ends[-1]:  # a new node's untried units
             path[-1].untried = list(legal[key][0])
         rollout(units, key[0], spans, legal, rng, config)
-        reward = 1.0 + score_ids(workload, units)
+        assignments = tuple([tuple(units[s:e]) for s, e in spans])
+        reward = 1.0 + score_ids(workload, assignments)
         if reward > best_reward:
-            best_reward, best_units = reward, units
+            best_reward, best = reward, assignments
         for n in path:
             n.visits += 1
             n.value += reward
 
     ms = (time.perf_counter() - t0) * 1000.0
-    best_mapping = Mapping(tuple(tuple(best_units[s:e]) for s, e in spans))
+    best_mapping = Mapping(best)
     validate_mapping(best_mapping, profile, workload, config.stage_limit)
     return best_mapping, {"iterations": config.budget, "best_reward": best_reward, "elapsed_ms": ms}

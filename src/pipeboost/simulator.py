@@ -25,10 +25,11 @@ scores, so a last-digit change can change the mapping they pick.
 `validate_mapping` is the rule of every checked entry: `simulate`,
 `stages_of`, `load_mapping` and the embedding's `mapped_input`. Each search
 checks the mapping it returns by it. `_avg_throughput` is the one scoring
-core, unchecked, for the simulator evaluator and `random_best`: it scores
-legal unit ids flat in mix order, and takes each model's walk
+core, unchecked, for the simulator evaluator, `random_best` and
+`exhaustive_best`: it scores the per-model tuples of legal unit ids of one
+mapping, `Mapping.assignments`' shape, and takes each model's walk
 (`_model_walk`, steps 1-3) from a memo keyed by (model index, the model's
-unit ids). T keeps its bits: `simulate` makes the same walks and adds the
+tuple). T keeps its bits: `simulate` makes the same walks and adds the
 loads in the same order.
 """
 
@@ -97,23 +98,10 @@ def validate_mapping(
     workload of at least one model, one assignment per model, one unit id per
     layer, and each id an `int` in range(num_units) (`True` is unit 1, as in
     tuple indexing; `1.0` and `np.int64(1)` are refused). The rule of every
-    checked entry. With `max_stages`, the ids are checked first, then that
-    no model has more than `max_stages` stages (naming the first that has)."""
-    _unit_ids(mapping, profile, workload)
-    if max_stages is None:
-        return
-    for model_idx, assignment in zip(workload.model_indices, mapping.assignments):
-        count = len(stage_bounds(assignment))
-        if count > max_stages:
-            name = profile.models[model_idx].name
-            raise MappingError(f"model {name!r}: {count} stages, over the limit {max_stages}")
-
-
-def _unit_ids(mapping: Mapping, profile: DeviceProfile, workload: Workload) -> list:
-    """The unit ids of `mapping`, flat in mix order, once it passes the rule of
-    `validate_mapping`. It checks, in order: the workload (not empty, and in
-    the profile), the mapping's shape (naming the first wrong model), then
-    the ids (naming the first bad one)."""
+    checked entry. It checks, in order: the workload (not empty, and in the
+    profile), the mapping's shape (naming the first wrong model), the ids
+    (naming the first bad one), then, with `max_stages`, that no model has
+    more than `max_stages` stages (naming the first that has)."""
     workload.validate_for(profile)
     counts = [profile.models[i].num_layers for i in workload.model_indices]
     shape = list(map(len, mapping.assignments))
@@ -132,7 +120,13 @@ def _unit_ids(mapping: Mapping, profile: DeviceProfile, workload: Workload) -> l
     if not ids.issuperset(flat) or type(sum(flat)) is not int:
         bad = next(u for u in flat if u not in ids or not isinstance(u, int))
         raise MappingError(f"unit id {bad!r} out of range")
-    return flat
+    if max_stages is None:
+        return
+    for model_idx, assignment in zip(workload.model_indices, mapping.assignments):
+        count = len(stage_bounds(assignment))
+        if count > max_stages:
+            name = profile.models[model_idx].name
+            raise MappingError(f"model {name!r}: {count} stages, over the limit {max_stages}")
 
 
 def stage_bounds(assignment: tuple[int, ...] | list[int]) -> list[tuple[int, int, int]]:
@@ -184,18 +178,15 @@ def _contention(walks: list, num_units: int) -> tuple[list[float], float]:
     return raw_load, min(1.0, 1.0 / max(raw_load))
 
 
-def _avg_throughput(workload: Workload, ids: list, profile: DeviceProfile, memo: dict) -> float:
-    """`simulate(...).avg_throughput` of legal unit ids flat in mix order,
-    unchecked: the scoring core. Each model's walk is read from `memo`, by
-    (model index, tuple of its ids), or made and stored there."""
-    walks, end = [], 0
-    for model_idx in workload.model_indices:
-        costs = profile.stage_costs[model_idx]
-        start, end = end, end + len(costs[0])
-        key = (model_idx, tuple(ids[start:end]))
+def _avg_throughput(workload: Workload, assignments, profile: DeviceProfile, memo: dict) -> float:
+    """`simulate(...).avg_throughput` of one mapping's per-model tuples of
+    legal unit ids, unchecked: the scoring core. Each model's walk is read
+    from `memo`, by (model index, the model's tuple), or made and stored there."""
+    walks = []
+    for key in zip(workload.model_indices, assignments):
         walk = memo.get(key)
         if walk is None:
-            walk = memo[key] = _model_walk(costs, key[1], profile.transfer_ms)
+            walk = memo[key] = _model_walk(profile.stage_costs[key[0]], key[1], profile.transfer_ms)
         walks.append(walk)
     _, theta = _contention(walks, profile.num_units)
     return sum([theta * r for r, _ in walks]) / len(walks)
@@ -267,7 +258,8 @@ def exhaustive_best(
     max_stages: int,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[Mapping, ThroughputReport]:
-    """Brute-force the best mapping by average throughput.
+    """Brute-force the best mapping by average throughput, each scored by
+    `_avg_throughput` through one memo; `simulate` reports the winner.
 
     Ties break toward the lexicographically smallest concatenated assignment
     vector, which is the first one encountered in enumeration order.
@@ -282,14 +274,13 @@ def exhaustive_best(
     per_model = [
         list(iter_assignments(n, profile.num_units, max_stages)) for n in layer_counts
     ]
-    best_mapping = None
-    best_report = None
+    memo, best, best_t = {}, None, None
     for combo in itertools.product(*per_model):
-        mapping = Mapping(assignments=combo)
-        report = simulate(workload, mapping, profile)
-        if best_report is None or report.avg_throughput > best_report.avg_throughput:
-            best_mapping, best_report = mapping, report
-    return best_mapping, best_report
+        t = _avg_throughput(workload, combo, profile, memo)
+        if best is None or t > best_t:
+            best, best_t = combo, t
+    mapping = Mapping(assignments=best)
+    return mapping, simulate(workload, mapping, profile)
 
 
 def _random_assignment(

@@ -226,11 +226,7 @@ def gradient_check(
 
 def save_dataset(samples: list[Sample], profile: DeviceProfile, path: str | Path) -> None:
     rows = [
-        {
-            "workload": [profile.models[i].name for i in s.workload.model_indices],
-            "assignments": [list(a) for a in s.mapping.assignments],
-            "target_raw": [float(v) for v in s.target_raw],
-        }
+        {**s.mapping.to_dict(profile, s.workload), "target_raw": [float(v) for v in s.target_raw]}
         for s in samples
     ]
     Path(path).write_text(json.dumps({"samples": rows}, indent=2) + "\n")

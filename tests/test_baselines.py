@@ -80,7 +80,7 @@ def ga_by_loop(workload, profile, evaluator, config):
 
     def repair(genes):
         for i, rows in enumerate(costs):
-            seg = merge_to_limit(genes[bounds[i] : bounds[i + 1]], rows, config.stage_limit)
+            seg = merge_to_limit(tuple(genes[bounds[i] : bounds[i + 1]]), rows, config.stage_limit)
             genes[bounds[i] : bounds[i + 1]] = seg
         return genes
 
@@ -90,7 +90,7 @@ def ga_by_loop(workload, profile, evaluator, config):
     ]
 
     def evaluate(pop):
-        return evaluator.score_rows(workload, pop)
+        return evaluator.score_rows(workload, [to_mapping(genes).assignments for genes in pop])
 
     def tournament(fitness):
         contenders = [rng.randrange(config.population) for _ in range(config.tournament_k)]
@@ -128,7 +128,7 @@ def merge_by_rescan(assignment, costs, limit):
         target = min(neighbors, key=cost.__getitem__)
         s, e, _ = stages[victim]
         out[s:e] = [stages[target][2]] * (e - s)
-    return out
+    return tuple(out)
 
 
 def test_gpu_only_everything_on_gpu(tiny_profile):
@@ -287,18 +287,18 @@ def test_mosaic_refuses_a_stage_limit_below_one(gen_profile):
 
 def test_merge_to_limit_reduces_stage_count(tiny_profile):
     costs = tiny_profile.stage_costs[0]
-    out = merge_to_limit([0, 1, 2], costs, 2)
+    out = merge_to_limit((0, 1, 2), costs, 2)
     assert len(stage_bounds(out)) <= 2
     assert len(out) == 3
     # already-legal assignments are untouched
-    assert merge_to_limit([1, 1, 1], costs, 3) == [1, 1, 1]
+    assert merge_to_limit((1, 1, 1), costs, 3) == (1, 1, 1)
 
 
 @given(st.data())
 def test_merge_to_limit_keeps_length_and_meets_limit(gen_profile, data):
     m = data.draw(st.integers(0, len(gen_profile.models) - 1))
     n = gen_profile.models[m].num_layers
-    assignment = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    assignment = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
     limit = data.draw(st.integers(1, 5))
     out = merge_to_limit(assignment, gen_profile.stage_costs[m], limit)
     assert len(out) == n
@@ -315,7 +315,7 @@ def test_merge_to_limit_equals_rescan_reference(profile_seed):
         m = rng.randrange(8)
         costs = profile.layer_costs[m]
         units = rng.randint(2, 3)  # two units make many equal-unit neighbors
-        assignment = [rng.randrange(units) for _ in range(len(costs[0]))]
+        assignment = tuple([rng.randrange(units) for _ in range(len(costs[0]))])
         limit = rng.randint(1, 6)
         assert merge_to_limit(assignment, profile.stage_costs[m], limit) == merge_by_rescan(
             assignment, costs, limit
@@ -329,7 +329,7 @@ def test_merge_to_limit_breaks_ties_like_rescan_reference():
     table = stage_cost_table(costs)
     rng = random.Random(5)
     for _ in range(500):
-        assignment = [rng.randrange(3) for _ in range(12)]
+        assignment = tuple([rng.randrange(3) for _ in range(12)])
         limit = rng.randint(1, 6)
         assert merge_to_limit(assignment, table, limit) == merge_by_rescan(
             assignment, costs, limit
@@ -340,8 +340,8 @@ def test_merge_to_limit_merges_cheapest_into_cheaper_neighbor(tiny_profile):
     # costs on units: a0=2/4/8, a1=3/6/12, a2=1/2/4
     # stages of [0,1,2]: (a0@0: 2), (a1@1: 6), (a2@2: 4) -> victim a0,
     # its only neighbor is a1@1 -> layers 0 joins unit 1
-    out = merge_to_limit([0, 1, 2], tiny_profile.stage_costs[0], 2)
-    assert out == [1, 1, 2]
+    out = merge_to_limit((0, 1, 2), tiny_profile.stage_costs[0], 2)
+    assert out == (1, 1, 2)
 
 
 def test_ga_produces_valid_mapping(gen_profile):
@@ -371,7 +371,8 @@ class CoarseEvaluator:
     """Three distinct scores, so most tournaments meet a tie."""
 
     def score_rows(self, workload, rows):
-        return np.array([float(row.count(0) % 3) for row in rows])
+        flat = (list(itertools.chain.from_iterable(row)) for row in rows)
+        return np.array([float(ids.count(0) % 3) for ids in flat])
 
 
 def test_ga_checks_the_mapping_it_returns(tiny_profile, monkeypatch):
@@ -382,7 +383,7 @@ def test_ga_checks_the_mapping_it_returns(tiny_profile, monkeypatch):
 
     def bad(genes, costs, limit):
         calls.append(genes)
-        return [3] * len(genes)
+        return (3,) * len(genes)
 
     monkeypatch.setattr("pipeboost.baselines.merge_to_limit", bad)
     config = GaConfig(population=4, generations=1, elitism=0, mutation_rate=1.0)
@@ -435,6 +436,32 @@ def test_ga_equals_loop_reference(profile_seed, coarse):
             assert ga_schedule(wl, profile, evaluator, config) == ga_by_loop(
                 wl, profile, evaluator, config
             )
+
+
+def test_ga_repairs_only_the_split_slice(monkeypatch):
+    # With no mutation a child's models come from its parents, legal and
+    # unchanged, except the one the crossover point splits: `merge_to_limit`
+    # runs at most once per child, and the GA still equals the loop
+    # reference, which repairs every model. A slice within the limit comes
+    # back as the same object.
+    profile = pb.generate_profile(8, seed=11)
+    evaluator = SimulatorEvaluator(profile)
+    wl = Workload((0, 3, 5))
+    config = GaConfig(population=10, generations=6, mutation_rate=0.0, seed=4)
+    want = ga_by_loop(wl, profile, evaluator, config)
+    calls = []
+
+    def counting(genes, costs, limit):
+        calls.append(len(genes))
+        out = merge_to_limit(genes, costs, limit)
+        assert out is genes or len(stage_bounds(genes)) > limit
+        return out
+
+    monkeypatch.setattr("pipeboost.baselines.merge_to_limit", counting)
+    assert ga_schedule(wl, profile, evaluator, config) == want
+    children = config.generations * (config.population - config.elitism)
+    assert 0 < len(calls) <= children
+    assert set(calls) <= {profile.models[i].num_layers for i in wl.model_indices}
 
 
 def test_ga_equals_loop_reference_at_the_default_config():

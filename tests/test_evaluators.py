@@ -17,17 +17,12 @@ from pipeboost.simulator import (
 from pipeboost.workload import Workload
 
 
-def flat(mapping):
-    """A mapping's unit ids flat in mix order, as the searches score them."""
-    return [u for a in mapping.assignments for u in a]
-
-
 def test_simulator_evaluator_monotone_in_throughput(gen_profile):
     ev = SimulatorEvaluator(gen_profile)
     wl = Workload((0, 4))
     maps = [random_mapping_rng(wl, gen_profile, 3, random.Random(i)) for i in range(12)]
     ts = [simulate(wl, m, gen_profile).avg_throughput for m in maps]
-    scores = [ev.score_ids(wl, flat(m)) for m in maps]
+    scores = [ev.score_ids(wl, m.assignments) for m in maps]
     # same ordering
     assert sorted(range(12), key=ts.__getitem__) == sorted(
         range(12), key=scores.__getitem__
@@ -39,7 +34,7 @@ def test_simulator_evaluator_reference_point(gen_profile):
     # the all-GPU mapping scores exactly 1/2 by construction
     ev = SimulatorEvaluator(gen_profile)
     wl = Workload((1, 2))
-    assert ev.score_ids(wl, flat(gpu_only(wl, gen_profile))) == pytest.approx(0.5)
+    assert ev.score_ids(wl, gpu_only(wl, gen_profile).assignments) == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("kind", ["simulator", "estimator"])
@@ -48,24 +43,21 @@ def test_score_batch_of_no_mappings_is_empty(gen_profile, quick_net, kind):
         ev = SimulatorEvaluator(gen_profile)
     else:
         ev = EstimatorEvaluator(quick_net, gen_profile)
-    wl = Workload((3, 5))
-    width = sum(gen_profile.models[i].num_layers for i in wl.model_indices)
-    out = ev.score_rows(wl, np.empty((0, width), dtype=np.intp))
+    out = ev.score_rows(Workload((3, 5)), [])
     assert out.shape == (0,) and out.dtype == np.float64
 
 
 def test_simulator_evaluator_batch_checks_each_model_length(tiny_profile):
-    # A batch row is the mapping's ids flat in mix order, which hide each
-    # model's length: a 2 + 3 split of the same five ids scores as the good
-    # 3 + 2 one. So each model's length is checked on the mapping, by
-    # `validate_mapping` and the checked entries that run it.
+    # A batch row is the mapping's per-model tuples, which the evaluators
+    # score unchecked: they read each model's tuple but check no length. So a
+    # 2 + 3 split of the good 3 + 2 mapping's five ids is refused on the
+    # mapping, by `validate_mapping` and the checked entries that run it.
     ev = SimulatorEvaluator(tiny_profile)
     wl = Workload((0, 1))  # 3 + 2 layers
     good = Mapping(((0, 1, 2), (1, 1)))
     swapped = Mapping(((0, 1), (2, 1, 1)))  # the same 5 units when joined
-    assert flat(swapped) == flat(good)
-    want = ev.score_ids(wl, flat(good))
-    assert ev.score_rows(wl, [flat(good), flat(swapped)]).tolist() == [want, want]
+    want = ev.score_ids(wl, good.assignments)
+    assert ev.score_rows(wl, [good.assignments]).tolist() == [want]
     validate_mapping(good, tiny_profile, wl)
     embedding = build_embedding(tiny_profile)
     for bad in (swapped, Mapping(((0, 1, 2, 1, 1),)), Mapping(((0, 1, 2), (1, 3)))):
@@ -151,7 +143,7 @@ def test_every_entry_gives_a_mapping_one_answer(gen_profile, rng, change):
     if errors:
         assert len(errors) == len(entries) and len(set(errors.values())) == 1, errors
     else:
-        assert _avg_throughput(wl, flat(mapping), gen_profile, {}) == answers["simulate"]
+        assert _avg_throughput(wl, mapping.assignments, gen_profile, {}) == answers["simulate"]
 
 
 @pytest.fixture(scope="module")
@@ -164,14 +156,14 @@ def shared_sim(gen_profile):
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 8))
 def test_scores_equal_independent_references(gen_profile, quick_net, shared_sim, rng, limit, n):
-    # score_ids and score_rows on legal unit ids flat in mix order, as the
-    # searches call them, equal references that share no scoring code with
-    # them, whatever the evaluator's memo already holds: T / (T + T_gpu) from
+    # score_ids and score_rows on mappings' per-model tuples of legal unit
+    # ids, as the searches call them, equal references that share no scoring
+    # code with them, whatever the evaluator's memo already holds: T / (T + T_gpu) from
     # `simulate`, and the net's clamped mean over the stacked `mapped_input`s
     wl = Workload(tuple(rng.sample(range(len(gen_profile.models)), rng.randint(1, 5))))
     maps = [random_mapping_rng(wl, gen_profile, limit, rng) for _ in range(n)]
     maps += rng.sample(maps, rng.randint(0, n))  # repeated rows
-    rows = [flat(m) for m in maps]
+    rows = [m.assignments for m in maps]
     ts = [simulate(wl, m, gen_profile).avg_throughput for m in maps]
     ref = simulate(wl, gpu_only(wl, gen_profile), gen_profile).avg_throughput
     est = EstimatorEvaluator(quick_net, gen_profile)
@@ -194,7 +186,7 @@ def test_one_evaluator_holds_one_mix(gen_profile):
     a, b = Workload((0, 4, 5)), Workload((4, 2))  # model 4 in both, at other positions
     rng = random.Random(19)
     maps = {wl: [random_mapping_rng(wl, gen_profile, 3, rng) for _ in range(30)] for wl in (a, b)}
-    rows = {wl: [flat(m) for m in ms] for wl, ms in maps.items()}
+    rows = {wl: [m.assignments for m in ms] for wl, ms in maps.items()}
     want = {wl: SimulatorEvaluator(gen_profile).score_rows(wl, rs) for wl, rs in rows.items()}
     ev = SimulatorEvaluator(gen_profile)
     for wl in (a, b, a):
@@ -213,7 +205,7 @@ def test_estimator_evaluator_requires_training(gen_profile):
 def test_estimator_evaluator_score_range_and_batch(gen_profile, quick_net):
     ev = EstimatorEvaluator(quick_net, gen_profile)
     wl = Workload((2, 4))
-    rows = [flat(random_mapping_rng(wl, gen_profile, 3, random.Random(i))) for i in range(6)]
+    rows = [random_mapping_rng(wl, gen_profile, 3, random.Random(i)).assignments for i in range(6)]
     scores = [ev.score_ids(wl, r) for r in rows]
     assert all(0.0 <= s <= 1.0 for s in scores)
     assert np.array_equal(ev.score_rows(wl, rows), scores)
@@ -228,7 +220,7 @@ def test_score_batch_equals_score(gen_profile, quick_net, kind):
     else:
         ev = EstimatorEvaluator(quick_net, gen_profile)
     wl = Workload((1, 3, 5))
-    rows = [flat(random_mapping_rng(wl, gen_profile, 3, random.Random(i))) for i in range(17)]
+    rows = [random_mapping_rng(wl, gen_profile, 3, random.Random(i)).assignments for i in range(17)]
     assert np.array_equal(ev.score_rows(wl, rows), [ev.score_ids(wl, r) for r in rows])
 
 

@@ -195,8 +195,7 @@ def schedule_by_states(workload, profile, evaluator, config):
             node.children.append(child)
             node = child
         terminal, _ = rollout_by_steps(node.state, rng, config)
-        ids = [u for a in terminal.mapping().assignments for u in a]
-        reward = 1.0 + evaluator.score_ids(workload, ids)
+        reward = 1.0 + evaluator.score_ids(workload, terminal.mapping().assignments)
         if reward > best_reward:
             best_reward, best_mapping = reward, terminal.mapping()
         while node is not None:
@@ -210,21 +209,21 @@ class ConstantEvaluator:
     """Every mapping scores 0.5, so every reward ties and UCT's first-max
     rule alone picks the path."""
 
-    def score_ids(self, workload, ids):
+    def score_ids(self, workload, assignments):
         return 0.5
 
 
 class Recorder:
-    """An evaluator that keeps every mapping it scores, in order, as its unit
-    ids flat in mix order: the search's whole trace of terminal mappings,
+    """An evaluator that keeps every mapping it scores, in order, as its
+    per-model unit tuples: the search's whole trace of terminal mappings,
     which shows a changed path even when the best mapping stays the same."""
 
     def __init__(self, inner):
         self.inner, self.scored = inner, []
 
-    def score_ids(self, workload, ids):
-        self.scored.append(tuple(ids))
-        return self.inner.score_ids(workload, ids)
+    def score_ids(self, workload, assignments):
+        self.scored.append(assignments)
+        return self.inner.score_ids(workload, assignments)
 
 
 def _evaluator(kind, profile):
@@ -327,14 +326,14 @@ def test_legal_units_table_is_the_rule_of_actions(tiny_profile):
 
 
 def test_simulator_score_of_a_walked_mapping(tiny_profile):
-    # a complete state's mapping scores T / (T + T_ref) as the flat ids the
-    # search rewards; an incomplete mapping is refused at the boundary
+    # a complete state's mapping scores T / (T + T_ref) as the per-model
+    # tuples the search rewards; an incomplete mapping is refused at the boundary
     ev = SimulatorEvaluator(tiny_profile)
     done = walk(initial_state(Workload((0,)), tiny_profile, CFG), [0, 0, 0])
     t = simulate(done.workload, done.mapping(), tiny_profile).avg_throughput
     ref = simulate(done.workload, gpu_only(done.workload, tiny_profile), tiny_profile).avg_throughput
     assert done.mapping() == Mapping(((0, 0, 0),))
-    assert ev.score_ids(done.workload, [0, 0, 0]) == t / (t + ref)
+    assert ev.score_ids(done.workload, ((0, 0, 0),)) == t / (t + ref)
     with pytest.raises(MappingError):
         validate_mapping(Mapping(((0, 0),)), tiny_profile, done.workload)
 
@@ -365,9 +364,11 @@ def test_schedule_checks_the_mapping_it_returns(tiny_profile, monkeypatch):
 
 
 class StageCountEvaluator:
-    """Scores unit ids by their stage count: more stages score higher."""
+    """Scores unit ids, flat in mix order, by their stage count: more stages
+    score higher."""
 
-    def score_ids(self, workload, ids):
+    def score_ids(self, workload, assignments):
+        ids = list(itertools.chain.from_iterable(assignments))
         return len(stage_bounds(ids)) / len(ids)
 
 

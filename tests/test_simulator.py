@@ -291,17 +291,17 @@ def test_avg_throughput_equals_simulate(seed, size, n, limit, rng):
         maps = [random_mapping_rng(wl, profile, limit, rng) for _ in range(n)]
     expected = [simulate(wl, m, profile).avg_throughput for m in maps]
     memo = {}
-    assert [_avg_throughput(wl, sum(m.assignments, ()), profile, memo) for m in maps] == expected
+    assert [_avg_throughput(wl, m.assignments, profile, memo) for m in maps] == expected
 
 
 def test_simulate_batch_rejects_bad_mappings(tiny_profile):
-    # A batch of mappings is scored by `_avg_throughput` on unchecked ids and
+    # A batch of mappings is scored by `_avg_throughput` on unchecked tuples and
     # checked at `simulate`: a good member scores as `simulate` reports it,
     # and each bad member is refused by its own message.
     wl = Workload((0, 1))  # 3 + 2 layers
     good = Mapping(((0, 1, 2), (1, 1)))
     memo = {}
-    assert _avg_throughput(wl, (0, 1, 2, 1, 1), tiny_profile, memo) == simulate(
+    assert _avg_throughput(wl, ((0, 1, 2), (1, 1)), tiny_profile, memo) == simulate(
         wl, good, tiny_profile
     ).avg_throughput
     for bad, match in (
@@ -352,7 +352,7 @@ def test_avg_throughput_adds_each_units_stages_in_simulates_order():
     ]
     want = [simulate(wl, m, profile).avg_throughput for m in maps]
     memo = {}
-    assert [_avg_throughput(wl, sum(m.assignments, ()), profile, memo) for m in maps] == want
+    assert [_avg_throughput(wl, m.assignments, profile, memo) for m in maps] == want
 
 
 def test_one_memo_keys_each_walk_by_model_and_ids():
@@ -365,8 +365,8 @@ def test_one_memo_keys_each_walk_by_model_and_ids():
         maps = [random_mapping_rng(wl, profile, 2, rng) for _ in range(20)]
         maps.append(Mapping(((0, 1, 1, 2),) * len(wl)))  # one id tuple for every model
         for m in maps:
-            ids = [u for a in m.assignments for u in a]
-            assert _avg_throughput(wl, ids, profile, memo) == simulate(wl, m, profile).avg_throughput
+            t = _avg_throughput(wl, m.assignments, profile, memo)
+            assert t == simulate(wl, m, profile).avg_throughput
     assert len({ids for _, ids in memo}) < len(memo)  # some ids stored under two models
 
 
