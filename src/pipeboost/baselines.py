@@ -49,7 +49,9 @@ def random_best(
     seed: int = 0,
 ) -> tuple[Mapping, ThroughputReport]:
     """Best of n uniformly random valid mappings by simulated T, scored through
-    one memo; the first drawn wins a tie. `simulate` checks the one returned."""
+    one memo; the first drawn wins a tie. `random_mapping_rng` draws them from
+    `Random(seed)` with the stdlib's numbers and rng state, but faster.
+    `simulate` checks the one returned."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)

@@ -286,16 +286,46 @@ def exhaustive_best(
 def _random_assignment(
     n_layers: int, n_units: int, max_stages: int, rng: random.Random
 ) -> tuple[int, ...]:
-    s = rng.randint(1, min(max_stages, n_layers))
-    cuts = sorted(rng.sample(range(1, n_layers), s - 1))
-    bounds = [0] + cuts + [n_layers]
-    units = [rng.randrange(n_units)]
-    for _ in range(s - 1):
-        units.append(rng.choice([u for u in range(n_units) if u != units[-1]]))
-    assignment = []
-    for seg, unit in enumerate(units):
-        assignment.extend([unit] * (bounds[seg + 1] - bounds[seg]))
+    """One model's draw: a stage count s uniform in 1..min(max_stages,
+    n_layers) (1 with one unit), s - 1 distinct cut points, a uniform first
+    unit, then each next unit uniform among the others. The tuple and rng
+    state are those of `rng.randint`, `sorted(rng.sample(range(1, n_layers),
+    s - 1))`, `rng.randrange` and `rng.choice` of the other units."""
+    getrandbits = rng.getrandbits
+    s = 1 + randbelow(getrandbits, min(max_stages, n_layers) if n_units > 1 else 1)
+    bounds = [0, *sorted(sample_range(getrandbits, 1, n_layers, s - 1)), n_layers]
+    unit = randbelow(getrandbits, n_units)
+    assignment = [unit] * bounds[1]
+    for seg in range(1, s):
+        u = randbelow(getrandbits, n_units - 1)
+        unit = u + (u >= unit)
+        assignment += [unit] * (bounds[seg + 1] - bounds[seg])
     return tuple(assignment)
+
+
+def sample_range(getrandbits, lo: int, hi: int, k: int) -> list[int]:
+    """`rng.sample(range(lo, hi), k)` for `getrandbits = rng.getrandbits` and
+    0 <= k <= hi - lo: CPython 3.11's `Random.sample`, its pool branch when
+    hi - lo is at most its set size and its selected-set branch otherwise,
+    drawn by `randbelow`, so the same list and rng state."""
+    n = hi - lo
+    setsize = 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(range(lo, hi))
+        for i in range(k):
+            j = randbelow(getrandbits, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
+    selected = set()
+    for _ in range(k):
+        j = randbelow(getrandbits, n)
+        while j in selected:
+            j = randbelow(getrandbits, n)
+        selected.add(j)
+        result.append(lo + j)
+    return result
 
 
 def randbelow(getrandbits, n: int) -> int:
@@ -315,7 +345,8 @@ def randbelow(getrandbits, n: int) -> int:
 def random_mapping_rng(
     workload: Workload, profile: DeviceProfile, max_stages: int, rng: random.Random
 ) -> Mapping:
-    """Sample a mapping: uniform stage count, cut points, and unit runs per model."""
+    """Sample a mapping: uniform stage count, cut points, and unit runs per
+    model, in mix order, by `_random_assignment`'s draws."""
     workload.validate_for(profile)
     if max_stages < 1:
         raise ValueError("max_stages must be >= 1")

@@ -16,13 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import build_embedding, mapped_input
+from .embedding import _gather, build_embedding, mapped_input
 from .errors import DatasetError, MappingError
 from .estimator import EstimatorNet, TargetStats
 from .simulator import (
     Mapping,
     _mapping_from_dict,
     random_mapping_rng,
+    randbelow,
+    sample_range,
     simulate,
 )
 from .workload import DeviceProfile, Workload, _check_keys, _float, _read_json, _typed
@@ -68,7 +70,11 @@ def generate_dataset(
     """Random mixes with random valid mappings, labelled by the simulator.
 
     Each sample draws from its own string-derived rng, so samples are
-    independent of one another and of `count`.
+    independent of one another and of `count`. A sample draws its mix size
+    and models as `rng.randint(lo, hi)` and `rng.sample(range(models), size)`
+    would, through `randbelow` and `sample_range`, then its mapping by
+    `random_mapping_rng`. `simulate` checks the mapping, so its input is
+    gathered without `mapped_input`'s second check.
     """
     if count < 1:
         raise ValueError(f"dataset count must be >= 1, got {count}")
@@ -83,11 +89,11 @@ def generate_dataset(
     samples = []
     for i in range(count):
         rng = random.Random(f"ds:{seed}:{i}")
-        size = rng.randint(lo, hi)
-        workload = Workload(tuple(rng.sample(range(len(profile.models)), size)))
+        size = lo + randbelow(rng.getrandbits, hi - lo + 1)
+        workload = Workload(tuple(sample_range(rng.getrandbits, 0, len(profile.models), size)))
         mapping = random_mapping_rng(workload, profile, profile.num_units, rng)
         report = simulate(workload, mapping, profile)
-        x = mapped_input(embedding, workload, mapping, profile)
+        x = _gather(embedding, workload, [mapping.assignments], profile)[0]
         samples.append(
             Sample(
                 input=x,
@@ -229,7 +235,7 @@ def save_dataset(samples: list[Sample], profile: DeviceProfile, path: str | Path
         {**s.mapping.to_dict(profile, s.workload), "target_raw": [float(v) for v in s.target_raw]}
         for s in samples
     ]
-    Path(path).write_text(json.dumps({"samples": rows}, indent=2) + "\n")
+    Path(path).write_text(json.dumps({"samples": rows}) + "\n")
 
 
 def load_dataset(path: str | Path, profile: DeviceProfile) -> list[Sample]:

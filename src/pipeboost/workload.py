@@ -498,7 +498,7 @@ def profile_from_dict(data: dict) -> DeviceProfile:
 
 
 def save_profile(profile: DeviceProfile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(profile_to_dict(profile), indent=2) + "\n")
+    Path(path).write_text(json.dumps(profile_to_dict(profile)) + "\n")
 
 
 def _read_json(path: str | Path, kind: str, error: type[ValueError]):

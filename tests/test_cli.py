@@ -250,6 +250,29 @@ def test_compare_json_output(cli_workspace, capsys):
         )
 
 
+def test_compare_on_a_one_unit_profile(cli_workspace, capsys, tmp_path):
+    # a profile of only its GPU unit is valid; random-best and the GA drew a
+    # second stage there and raised IndexError from Random.choice
+    profile = json.loads((cli_workspace / "profile.json").read_text())
+    profile["units"] = [u for u in profile["units"] if u["kind"] == "gpu"]
+    gpu = str(profile["units"][0]["id"])
+    for model in profile["models"]:
+        for layer in model["layers"]:
+            for kernel in layer["kernels"]:
+                kernel["time_ms"] = {gpu: kernel["time_ms"][gpu]}
+    one = tmp_path / "profile.json"
+    one.write_text(json.dumps(profile))
+    code, out, err = run(
+        capsys, "compare", "--profile", str(one), "--evaluator", "simulator",
+        "--random-mixes", "2", "--mix-size", "3", "--budget", "60", "--seed", "4",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [r["method"] for r in rows] == ["gpu", "random-best", "mosaic", "ga", "mcts"] * 2
+    assert all(r["normalized"] == 1.0 for r in rows)
+
+
 @pytest.mark.parametrize(
     "key,value",
     [

@@ -21,12 +21,14 @@ from pipeboost.errors import MappingError, SearchSpaceError
 from pipeboost.simulator import (
     Mapping,
     _avg_throughput,
+    _random_assignment,
     count_assignments,
     exhaustive_best,
     iter_assignments,
     load_mapping,
     random_mapping_rng,
     randbelow,
+    sample_range,
     save_mapping,
     simulate,
     stage_bounds,
@@ -507,6 +509,68 @@ def test_randbelow_is_randrange_and_choice():
             assert got == [by_range.randrange(n) for _ in range(3)]
             assert got == [by_choice.choice(range(n)) for _ in range(3)]
             assert rng.getstate() == by_range.getstate() == by_choice.getstate()
+
+
+def assignment_by_stdlib(n_layers, n_units, max_stages, rng):
+    """The reference: `_random_assignment` drawn by `randint`, `sample`,
+    `randrange` and `choice`."""
+    s = rng.randint(1, min(max_stages, n_layers))
+    cuts = sorted(rng.sample(range(1, n_layers), s - 1))
+    bounds = [0] + cuts + [n_layers]
+    units = [rng.randrange(n_units)]
+    for _ in range(s - 1):
+        units.append(rng.choice([u for u in range(n_units) if u != units[-1]]))
+    assignment = []
+    for seg, unit in enumerate(units):
+        assignment.extend([unit] * (bounds[seg + 1] - bounds[seg]))
+    return tuple(assignment)
+
+
+def test_random_assignment_is_the_stdlib_draws():
+    # max_stages up to 12 puts s - 1 = k above 5, where Random.sample's set
+    # size grows, and n_layers up to 40 reaches its selected-set branch
+    for n_layers in range(1, 41):
+        for n_units in range(2, 6):
+            for max_stages in range(1, 13):
+                for seed in range(4):
+                    key = f"{n_layers}:{n_units}:{max_stages}:{seed}"
+                    rng, ref = random.Random(key), random.Random(key)
+                    for _ in range(3):
+                        got = _random_assignment(n_layers, n_units, max_stages, rng)
+                        assert got == assignment_by_stdlib(n_layers, n_units, max_stages, ref)
+                    assert rng.getstate() == ref.getstate()
+
+
+def test_sample_range_is_rng_sample():
+    # n up to 100 and k up to 30 run both branches: the pool while n is at
+    # most 21 (k <= 5), 85 (k <= 21) or 277, the selected set above that
+    branches = set()
+    for n in range(0, 101):
+        for k in range(0, min(n, 30) + 1):
+            lo = n % 7
+            rng, ref = random.Random(n * 31 + k), random.Random(n * 31 + k)
+            got = sample_range(rng.getrandbits, lo, lo + n, k)
+            assert got == ref.sample(range(lo, lo + n), k)
+            assert rng.getstate() == ref.getstate()
+            branches.add(n <= (21 if k <= 5 else 21 + 4 ** math.ceil(math.log(3 * k, 4))))
+    assert branches == {True, False}
+
+
+class NoEmptyDraws(random.Random):
+    """An rng that fails where `randbelow(getrandbits, 0)` would loop forever."""
+
+    def getrandbits(self, k):
+        assert k > 0, "randbelow of 0"
+        return super().getrandbits(k)
+
+
+def test_random_assignment_on_one_unit_is_one_stage():
+    # Random.choice of no other unit raised IndexError, and randbelow of 0
+    # never returns, so one unit draws one stage whatever the limit
+    for n_layers in (1, 2, 17):
+        for max_stages in (1, 3, 12):
+            rng = NoEmptyDraws(n_layers * max_stages)
+            assert _random_assignment(n_layers, 1, max_stages, rng) == (0,) * n_layers
 
 
 def test_a_block_of_words_is_that_many_single_bit_draws():

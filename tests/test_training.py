@@ -1,11 +1,13 @@
 """Dataset generation, preprocessing, and the Adam/L1 training loop."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from pipeboost.embedding import build_embedding, mapped_input
 from pipeboost.errors import DatasetError
 from pipeboost.estimator import EstimatorNet
 from pipeboost.simulator import simulate
@@ -20,6 +22,7 @@ from pipeboost.training import (
     save_history_csv,
     train,
 )
+from pipeboost.workload import generate_profile
 
 
 def test_generate_dataset_shapes_and_labels(gen_profile):
@@ -45,6 +48,26 @@ def test_generate_dataset_prefix_stability(gen_profile):
         assert a.mapping == b.mapping
     other = generate_dataset(gen_profile, count=10, seed=2)
     assert any(a.mapping != b.mapping for a, b in zip(short, other))
+
+
+def test_generate_dataset_inputs_are_mapped_inputs(gen_profile):
+    # generate_dataset gathers each input without mapped_input's second check
+    embedding = build_embedding(gen_profile)
+    for s in generate_dataset(gen_profile, count=60, mix_range=(1, 6), seed=8):
+        want = mapped_input(embedding, s.workload, s.mapping, gen_profile)
+        assert s.input.dtype == want.dtype and not s.input.flags.writeable
+        assert s.input.tobytes() == want.tobytes()
+
+
+def test_bench_recipe_dataset_mappings_are_pinned():
+    # the mixes and mappings of `genprofile --models 11 --seed 0` then
+    # `dataset --count 500 --mix-min 1 --mix-max 5 --seed 0` depend only on
+    # the rng draws, so any change to a draw changes this hash
+    profile = generate_profile(11, 0)
+    samples = generate_dataset(profile, 500, (1, 5), 0)
+    rows = [s.mapping.to_dict(profile, s.workload) for s in samples]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "a5067ad4cb6e5a7a99e35d6820690bee7a4149352f822eee60f82fd8f60ccafb"
 
 
 def test_generate_dataset_validation(gen_profile):
@@ -148,9 +171,21 @@ def test_dataset_json_roundtrip(gen_profile, tmp_path):
     for a, b in zip(samples, back):
         assert a.workload == b.workload
         assert a.mapping == b.mapping
-        np.testing.assert_allclose(a.target_raw, b.target_raw)
-        np.testing.assert_array_equal(a.input, b.input)
+        assert a.target_raw.tobytes() == b.target_raw.tobytes()
+        assert a.input.tobytes() == b.input.tobytes()
         assert b.target is None
+
+
+def test_saved_dataset_loads_to_the_indented_object(gen_profile, tmp_path):
+    # the content of the file is pinned, not its whitespace
+    samples = generate_dataset(gen_profile, count=15, seed=6)
+    path = tmp_path / "ds.json"
+    save_dataset(samples, gen_profile, path)
+    rows = [
+        {**s.mapping.to_dict(gen_profile, s.workload), "target_raw": s.target_raw.tolist()}
+        for s in samples
+    ]
+    assert json.loads(path.read_text()) == json.loads(json.dumps({"samples": rows}, indent=2))
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,16 @@ def test_profile_json_roundtrip(tiny_profile, tmp_path):
     assert data["transfer_ms"] == 1.0
 
 
+def test_saved_profile_loads_to_the_indented_object(tmp_path):
+    # the content of the file is pinned, not its whitespace
+    profile = pb.generate_profile(4, seed=3)
+    path = tmp_path / "prof.json"
+    save_profile(profile, path)
+    want = json.loads(json.dumps(profile_to_dict(profile), indent=2))
+    assert json.loads(path.read_text()) == want
+    assert load_profile(path) == profile
+
+
 def test_profile_from_dict_rejects_unknown_keys(tiny_profile):
     data = profile_to_dict(tiny_profile)
     data["extra"] = 1
