@@ -15,8 +15,10 @@ walk is exact row by row: every conv is a stacked matmul, and the head is
 one too, so a row's output has the same bits in any batch and `forward` of
 a batch equals `forward` of each row. The backward head `dout @ fc.w` is a
 plain matmul, which rounds a one-row block differently, so `l1_gradients`
-splits a batch evenly into blocks of two rows or more; it runs the sums over
-the batch once, over all rows, and gives one block's gradients bit for bit.
+splits a batch evenly into blocks of two rows or more. Its reverse walk adds
+each conv's gradient into the sum row by row, in batch order, as one numpy
+reduction over the batch would; so a step holds one block's activations
+whatever the batch size and gives one block's gradients bit for bit.
 
 Total trainable parameters: 224 + 1,168 + 4,640 + 3,480 + 10,416 + 75
 = 20,003, asserted at construction.
@@ -253,13 +255,13 @@ _LAYERS = (
     "convC", "gelu", "pool",
     "skip", "r2c1", "gelu", "r2c2", "add", "gelu",
 )
-_CONVS = tuple(op for op in _LAYERS if op + ".w" in _SHAPES)
 
 # Rows per block of `EstimatorNet.forward` and `l1_gradients`. Five
 # 2-epoch `train` commands in one process, batch 32, (3, 11, 28) inputs, one
-# BLAS thread: peak RSS 60 MB with 4 rows, 67 MB with 8, 76 MB with 16 and
-# 91 MB with one 32-row block; 8 rows ran fastest (about 0.46 s per epoch,
-# against 0.50 s with 4), and 16 rows faulted in about 45k pages a command.
+# BLAS thread: peak RSS 51 MB with 4 rows, 55 MB with 8, 60 MB with 16 and
+# 72 MB with one 32-row block. 8 rows ran fastest: a median of 0.38 s per
+# epoch over 9 runs, against 0.39 s with 4 and 0.46 s (3 runs) with 16, where
+# each command faulted in about 73k pages, against 16k with 8.
 _BLOCK_ROWS = 8
 
 
@@ -347,50 +349,45 @@ class EstimatorNet:
         out = np.concatenate([self._walk(x[a : a + _BLOCK_ROWS], None) for a in blocks])
         return out[0] if single else out
 
-    def l1_gradients(self, x: np.ndarray, y: np.ndarray, buffers: dict | None = None):
+    def l1_gradients(self, x: np.ndarray, y: np.ndarray):
         """A batch's `forward` output and every parameter's gradient of the
         mean L1 loss to `y`, with `dout = sign(out - y) / out.size` at the
-        head. Each row block is walked with a cache and back again; only the
-        batch reductions see every row. The blocks split the batch evenly, so
-        none has one row unless the batch has: the backward head's
-        `dout @ fc.w` rounds a one-row matmul differently.
-
-        `buffers` is a dict that a training loop keeps across steps: the
-        full-batch arrays of per-row terms live there and are reused, where
-        fresh ones would fault in about 10 MB of new pages per step."""
+        head. Each row block is walked with a cache and back again, and only
+        the head's `dout` and GAP rows outlive their block, so a step holds
+        one block's activations whatever the batch size. The blocks split the
+        batch evenly, so none has one row unless the batch has: the backward
+        head's `dout @ fc.w` rounds a one-row matmul differently."""
         x = self._check(x)
         n = len(x)
         y = np.broadcast_to(y, (n, len(self.params["fc.b"])))
-        buffers = {} if buffers is None else buffers
-        outs, rows = [], {}
+        grads = {name: np.zeros(_SHAPES[name]) for name in _SHAPES}
+        outs, douts, gaps = [], [], []
         blocks = -(-n // _BLOCK_ROWS)
         for i in range(blocks):
             part = slice(n * i // blocks, n * (i + 1) // blocks)
             cache = []
             out = self._walk(x[part], cache)
             dout = np.sign(out - y[part]) / (n * out.shape[1])
-            for name, term in self._row_terms(cache, dout).items():
-                if name not in rows:
-                    buf = buffers.get(name)
-                    if buf is None or len(buf) < n or buf.shape[1:] != term.shape[1:]:
-                        buf = buffers[name] = np.empty((n,) + term.shape[1:])
-                    rows[name] = buf[:n]
-                rows[name][part] = term
+            gaps.append(self._backward(cache, dout, grads))
             outs.append(out)
-        return np.concatenate(outs), _sum_rows(rows)
+            douts.append(dout)
+        dout, g = np.concatenate(douts), np.concatenate(gaps)
+        grads["fc.w"], grads["fc.b"] = dout.T @ g, dout.sum(axis=0)
+        return np.concatenate(outs), grads
 
-    def _row_terms(self, cache, dout: np.ndarray) -> dict[str, np.ndarray]:
-        """Walk `_LAYERS` in reverse and return, per parameter, the per-row
-        term that `_sum_rows` reduces over the batch: each conv weight's
-        per-row gradients, each bias's output gradient, and for "fc.w" the
-        head's input."""
+    def _backward(self, cache: list, dout: np.ndarray, grads: dict) -> np.ndarray:
+        """Walk `_LAYERS` in reverse, popping each cache entry as it is used,
+        and add each conv's weight and bias terms into `grads` one row at a
+        time; return the block's GAP rows. Rows are added in batch order onto
+        zeros, as numpy's `sum(axis=0)` adds them, and a bias term is the
+        row's `sum(axis=(2, 3))`: so the sums have the bits of one reduction
+        over the whole batch."""
         p = self.params
-        (bs, ch, h, w), g = cache[-1]
-        rows = {"fc.w": g, "fc.b": dout}
+        (bs, ch, h, w), g = cache.pop()
         dg = dout @ p["fc.w"]
         d = np.broadcast_to(dg[:, :, None, None], (bs, ch, h, w)) / (h * w)
-        for i in reversed(range(len(_LAYERS))):
-            op, kept = _LAYERS[i], cache[i]
+        for op in reversed(_LAYERS):
+            kept = cache.pop()
             if op == "gelu":
                 d = d * gelu_grad(kept)
             elif op == "pool":
@@ -400,20 +397,14 @@ class EstimatorNet:
             elif op == "skip":
                 d = d + skip
             else:
-                rows[op + ".w"], rows[op + ".b"] = _conv_weight_rows(d, kept), d
-                if i > 0:  # the input needs no gradient
+                dw, db = grads[op + ".w"], grads[op + ".b"]
+                for row in _conv_weight_rows(d, kept).reshape((bs,) + dw.shape):
+                    dw += row
+                for row in d.sum(axis=(2, 3)):
+                    db += row
+                if cache:  # the input needs no gradient
                     d = _conv_backward(d, kept)
-        return rows
-
-
-def _sum_rows(rows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Every parameter's gradient from `_row_terms`' per-row terms."""
-    dout, g = rows["fc.b"], rows["fc.w"]
-    grads = {"fc.w": dout.T @ g, "fc.b": dout.sum(axis=0)}
-    for name in _CONVS:
-        grads[name + ".w"] = rows[name + ".w"].sum(axis=0).reshape(_SHAPES[name + ".w"])
-        grads[name + ".b"] = rows[name + ".b"].sum(axis=(0, 2, 3))
-    return grads
+        return g
 
 
 # ---------------------------------------------------------------------------

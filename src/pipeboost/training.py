@@ -156,7 +156,6 @@ def train(
 
     m = {k: np.zeros_like(v) for k, v in net.params.items()}
     v = {k: np.zeros_like(p) for k, p in net.params.items()}
-    buffers = {}
     t = 0
     history: dict[str, list[float]] = {"train_l1": [], "val_l1": []}
 
@@ -168,7 +167,7 @@ def train(
         n_terms = 0
         for start in range(0, config.train_size, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            pred, grads = net.l1_gradients(x_train[idx], y_train[idx], buffers)
+            pred, grads = net.l1_gradients(x_train[idx], y_train[idx])
             diff = pred - y_train[idx]
             abs_sum += float(np.abs(diff).sum())
             n_terms += diff.size

@@ -1,5 +1,7 @@
 """Network structure, numerics, and the weights file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from pipeboost.estimator import (
     PARAM_COUNT,
     EstimatorNet,
     TargetStats,
+    _LAYERS,
     _conv_backward,
     _conv_forward,
     _im2col,
@@ -188,9 +191,17 @@ def test_layer_walk_equals_unrolled_reference(shape, batch):
         assert np.array_equal(grads[name], want), name
 
 
-@pytest.mark.parametrize("batch", [1, 2, 5, 8, 9, 16, 17, 32, 33])
+def same_bytes(a, b):
+    """Equal bit for bit, so -0.0 differs from 0.0."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64)
+    )
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5, 8, 9, 16, 17, 32, 33, 64, 128])
 def test_l1_gradients_equal_one_block(batch):
-    # `l1_gradients` walks row blocks; the reference takes the batch as one
+    # `l1_gradients` walks row blocks and sums each conv's gradient as it
+    # goes; the reference takes the batch as one block and sums once
     shape = (3, 11, 28)
     net = EstimatorNet.new(shape, seed=2)
     rng = np.random.default_rng(20 + batch)
@@ -199,20 +210,78 @@ def test_l1_gradients_equal_one_block(batch):
     y = rng.random((batch, 3))
     want_out = unrolled_forward_backward(net, x, np.zeros((batch, 3)))[0]
     want_grads = unrolled_forward_backward(net, x, np.sign(want_out - y) / want_out.size)[1]
-    buffers = {}  # first sized by a larger batch, then reused for this one
-    net.l1_gradients(rng.random((40,) + shape), rng.random((40, 3)), buffers)
-    for out, grads in (net.l1_gradients(x, y), net.l1_gradients(x, y, buffers)):
-        assert np.array_equal(out, want_out)
-        assert grads.keys() == want_grads.keys() == set(EstimatorNet.PARAM_ORDER)
-        for name, want in want_grads.items():
-            assert np.array_equal(grads[name], want), name
+    out, grads = net.l1_gradients(x, y)
+    assert same_bytes(out, want_out)
+    assert grads.keys() == want_grads.keys() == set(EstimatorNet.PARAM_ORDER)
+    for name, want in want_grads.items():
+        assert same_bytes(grads[name], want), name
     if batch == 1:  # an unbatched input, with a target above and below the output
         y1 = want_out[0] + np.array([-1.0, 1.0, -1.0])
         out, grads = net.l1_gradients(x[0], y1)
         want_grads = unrolled_forward_backward(net, x, np.sign(want_out - y1) / want_out.size)[1]
-        assert np.array_equal(out, want_out)
+        assert same_bytes(out, want_out)
         for name, want in want_grads.items():
-            assert np.array_equal(grads[name], want), name
+            assert same_bytes(grads[name], want), name
+
+
+def conv_term_shapes(shape):
+    """Per conv of the net on `shape` inputs: the shape of one row's weight
+    term, (O, C*9), and of its output gradient, (O, H, W)."""
+    net = EstimatorNet.new(shape, seed=0)
+    cache = []
+    net._walk(np.zeros((1,) + shape), cache)
+    shapes = []
+    for op, kept in zip(_LAYERS, cache):
+        if op + ".w" in EstimatorNet.PARAM_ORDER:
+            x_shape, cols, w = kept
+            shapes.append(((len(w), cols.shape[1]), (len(w),) + x_shape[2:]))
+    return shapes
+
+
+@pytest.mark.parametrize("batch", [2, 8, 33, 128])
+def test_sums_over_rows_are_numpy_reductions(batch):
+    # the step sums each conv's terms row by row onto zeros; that has the
+    # bits of numpy's one reduction over the batch only while numpy adds a
+    # non-inner axis row after row from its identity +0.0 (so an all -0.0
+    # column sums to +0.0). A numpy that reorders its reductions fails here
+    rng = np.random.default_rng(batch)
+    shapes = conv_term_shapes((3, 11, 28))
+    assert len(shapes) == 7
+    for w_shape, d_shape in shapes:
+        rows = rng.normal(size=(batch,) + w_shape)
+        rows[:, 0, 0] = -0.0
+        rows[0, 0, 1] = -0.0
+        acc = np.zeros(w_shape)
+        for row in rows:
+            acc += row
+        assert same_bytes(acc, rows.sum(axis=0)), w_shape
+        d = rng.normal(size=(batch,) + d_shape)
+        d[:, 0] = -0.0
+        acc = np.zeros(d_shape[0])
+        for a in range(0, batch, 8):  # per-row sums taken a block at a time
+            for row in d[a : a + 8].sum(axis=(2, 3)):
+                acc += row
+        assert same_bytes(acc, d.sum(axis=(0, 2, 3))), d_shape
+
+
+def test_step_memory_is_flat_in_the_batch_size():
+    # a step holds one row block of activations and the parameter-sized
+    # sums, so its traced peak does not grow with the batch
+    shape = (3, 11, 28)
+    net = EstimatorNet.new(shape, seed=0)
+    rng = np.random.default_rng(0)
+    x, y = rng.random((128,) + shape), rng.random((128, 3))
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for rows in (8, 128):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            net.l1_gradients(x[:rows], y[:rows])
+            peaks[rows] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peaks[128] <= 1.1 * peaks[8], peaks
 
 
 def test_forward_is_exact_row_by_row():
