@@ -15,10 +15,12 @@ walk is exact row by row: every conv is a stacked matmul, and the head is
 one too, so a row's output has the same bits in any batch and `forward` of
 a batch equals `forward` of each row. The backward head `dout @ fc.w` is a
 plain matmul, which rounds a one-row block differently, so `l1_gradients`
-splits a batch evenly into blocks of two rows or more. Its reverse walk adds
-each conv's gradient into the sum row by row, in batch order, as one numpy
-reduction over the batch would; so a step holds one block's activations
-whatever the batch size and gives one block's gradients bit for bit.
+splits a batch evenly into blocks of two rows or more (`step_blocks`). A
+block's reverse walk (`l1_block`) hands each conv's gradient rows to its
+caller, and `l1_gradients` adds them into the sums row by row, in batch
+order, as one numpy reduction over the batch would (`add_rows`); so a step
+holds one block's activations whatever the batch size and gives one block's
+gradients bit for bit. `training` walks the same blocks on two processes.
 
 Total trainable parameters: 224 + 1,168 + 4,640 + 3,480 + 10,416 + 75
 = 20,003, asserted at construction.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import ClassVar
 
@@ -351,37 +354,32 @@ class EstimatorNet:
 
     def l1_gradients(self, x: np.ndarray, y: np.ndarray):
         """A batch's `forward` output and every parameter's gradient of the
-        mean L1 loss to `y`, with `dout = sign(out - y) / out.size` at the
-        head. Each row block is walked with a cache and back again, and only
-        the head's `dout` and GAP rows outlive their block, so a step holds
-        one block's activations whatever the batch size. The blocks split the
-        batch evenly, so none has one row unless the batch has: the backward
-        head's `dout @ fc.w` rounds a one-row matmul differently."""
+        mean L1 loss to `y`: `l1_block` over each of `step_blocks(len(x))`,
+        its conv terms added into zeros, then `head_gradients`. Only the
+        head's `dout` and GAP rows outlive their block, so a step holds one
+        block's activations whatever the batch size."""
         x = self._check(x)
         n = len(x)
         y = np.broadcast_to(y, (n, len(self.params["fc.b"])))
-        grads = {name: np.zeros(_SHAPES[name]) for name in _SHAPES}
-        outs, douts, gaps = [], [], []
-        blocks = -(-n // _BLOCK_ROWS)
-        for i in range(blocks):
-            part = slice(n * i // blocks, n * (i + 1) // blocks)
-            cache = []
-            out = self._walk(x[part], cache)
-            dout = np.sign(out - y[part]) / (n * out.shape[1])
-            gaps.append(self._backward(cache, dout, grads))
-            outs.append(out)
-            douts.append(dout)
-        dout, g = np.concatenate(douts), np.concatenate(gaps)
-        grads["fc.w"], grads["fc.b"] = dout.T @ g, dout.sum(axis=0)
-        return np.concatenate(outs), grads
+        grads = zero_gradients()
+        parts = [self.l1_block(x[b], y[b], n, partial(add_rows, grads)) for b in step_blocks(n)]
+        return head_gradients(grads, parts)
 
-    def _backward(self, cache: list, dout: np.ndarray, grads: dict) -> np.ndarray:
+    def l1_block(self, x: np.ndarray, y: np.ndarray, n: int, add) -> tuple:
+        """One row block of an `n`-row training step: walk it with a cache
+        and back again with `dout = sign(out - y) / (n * 3)` at the head, pass
+        each conv's weight and bias term rows to `add(name, rows)`, and return
+        the block's (out, dout, GAP) rows."""
+        cache = []
+        out = self._walk(x, cache)
+        dout = np.sign(out - y) / (n * out.shape[1])
+        return out, dout, self._backward(cache, dout, add)
+
+    def _backward(self, cache: list, dout: np.ndarray, add) -> np.ndarray:
         """Walk `_LAYERS` in reverse, popping each cache entry as it is used,
-        and add each conv's weight and bias terms into `grads` one row at a
-        time; return the block's GAP rows. Rows are added in batch order onto
-        zeros, as numpy's `sum(axis=0)` adds them, and a bias term is the
-        row's `sum(axis=(2, 3))`: so the sums have the bits of one reduction
-        over the whole batch."""
+        and pass each conv's weight and bias terms to `add(name, rows)`, one
+        row per batch row (a bias row is that row's `sum(axis=(2, 3))`);
+        return the block's GAP rows."""
         p = self.params
         (bs, ch, h, w), g = cache.pop()
         dg = dout @ p["fc.w"]
@@ -397,14 +395,42 @@ class EstimatorNet:
             elif op == "skip":
                 d = d + skip
             else:
-                dw, db = grads[op + ".w"], grads[op + ".b"]
-                for row in _conv_weight_rows(d, kept).reshape((bs,) + dw.shape):
-                    dw += row
-                for row in d.sum(axis=(2, 3)):
-                    db += row
+                add(op + ".w", _conv_weight_rows(d, kept).reshape((bs,) + _SHAPES[op + ".w"]))
+                add(op + ".b", d.sum(axis=(2, 3)))
                 if cache:  # the input needs no gradient
                     d = _conv_backward(d, kept)
         return g
+
+
+def step_blocks(n: int) -> list[slice]:
+    """The row blocks of an n-row training step: ceil(n / `_BLOCK_ROWS`)
+    even parts, so none has one row unless the batch has, because the
+    backward head's `dout @ fc.w` rounds a one-row matmul differently."""
+    blocks = -(-n // _BLOCK_ROWS)
+    return [slice(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
+
+
+def zero_gradients() -> dict[str, np.ndarray]:
+    return {name: np.zeros(shape) for name, shape in _SHAPES.items()}
+
+
+def add_rows(grads: dict, name: str, rows: np.ndarray) -> None:
+    """Add `rows` into `grads[name]` one at a time, in order. Rows added in
+    batch order onto zeros have the bits of numpy's one `sum(axis=0)` over
+    the batch, so the blocks of a step may be walked anywhere as long as
+    their rows reach the sum in that order."""
+    acc = grads[name]
+    for row in rows:
+        acc += row
+
+
+def head_gradients(grads: dict, parts: list) -> tuple[np.ndarray, dict]:
+    """Finish a step from its blocks' (out, dout, GAP) rows in batch order:
+    set the head's terms in `grads`, whose conv sums hold every row, and
+    return the batch output and `grads`."""
+    out, dout, g = (np.concatenate(rows) for rows in zip(*parts))
+    grads["fc.w"], grads["fc.b"] = dout.T @ g, dout.sum(axis=0)
+    return out, grads
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,51 @@ Samples are labelled by the simulator: for a random mix and a random valid
 mapping, the target is the 3-vector of per-unit inference rates. Targets
 are standardized per component and then min-max scaled to [0,1] with
 statistics fitted on the training split only.
+
+`train` runs each step on two processes when it can: itself and one worker
+forked per call, which reads its rows from its copy of the samples. The
+split: of a batch's `step_blocks`, this process walks the first
+`len(blocks) // 2` and adds their conv terms into zeros, as `l1_gradients`
+does, while the worker walks the rest and keeps its term rows. This process
+then sends its partial sums; the worker adds its rows onto them in batch
+order and returns them with its (out, dout, GAP) rows, and the head's terms
+are taken over the concatenated rows. Each validation pass splits its blocks
+the same way. Why the bits hold: the walk is exact row by row, the blocks are
+those of `l1_gradients`, and every sum gets the rows of the whole batch in
+batch order onto zeros, which is the sum `l1_gradients` makes; so the weights
+and the history are the same bytes with or without the worker. Only
+parameter-sized arrays cross the pipe each way: the parameters, and the
+partial and the final sums. The worker is forked only when a step has two
+blocks or more (`batch_size` > 8), the process may run on two CPUs and the
+`fork` start method exists; otherwise every block runs here, through the
+same block code.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import random
+import signal
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .embedding import _gather, build_embedding, mapped_input
 from .errors import DatasetError, MappingError
-from .estimator import EstimatorNet, TargetStats
+from .estimator import (
+    EstimatorNet,
+    TargetStats,
+    add_rows,
+    head_gradients,
+    step_blocks,
+    zero_gradients,
+)
 from .simulator import (
     Mapping,
     _mapping_from_dict,
@@ -136,7 +166,10 @@ def train(
     config: TrainConfig,
     stats: TargetStats | None = None,
 ) -> tuple[EstimatorNet, dict[str, list[float]]]:
-    """Mini-batch Adam on L1 loss; shuffling is fixed per (seed, epoch)."""
+    """Mini-batch Adam on L1 loss; shuffling is fixed per (seed, epoch).
+
+    Each batch and validation block is stacked from `samples` by index, and
+    a step may run on two processes (see the module docstring)."""
     if config.train_size + config.val_size != len(samples):
         raise ValueError(
             f"split {config.train_size}+{config.val_size} does not cover "
@@ -146,51 +179,185 @@ def train(
         raise ValueError("empty training set")
     if any(s.target is None for s in samples):
         raise ValueError("dataset targets are not preprocessed")
+    if any(s.input.shape != net.input_shape for s in samples):
+        raise ValueError(f"sample inputs do not match the net's input shape {net.input_shape}")
 
-    x_train = np.stack([s.input for s in samples[: config.train_size]])
-    y_train = np.stack([s.target for s in samples[: config.train_size]])
-    x_val = y_val = None
-    if config.val_size:
-        x_val = np.stack([s.input for s in samples[config.train_size :]])
-        y_val = np.stack([s.target for s in samples[config.train_size :]])
-
+    targets = np.stack([s.target for s in samples])
+    val_rows = np.arange(config.train_size, len(samples))
     m = {k: np.zeros_like(v) for k, v in net.params.items()}
     v = {k: np.zeros_like(p) for k, p in net.params.items()}
     t = 0
     history: dict[str, list[float]] = {"train_l1": [], "val_l1": []}
 
-    for epoch in range(config.epochs):
-        perm = np.random.default_rng([config.seed, epoch]).permutation(
-            config.train_size
-        )
-        abs_sum = 0.0
-        n_terms = 0
-        for start in range(0, config.train_size, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            pred, grads = net.l1_gradients(x_train[idx], y_train[idx])
-            diff = pred - y_train[idx]
-            abs_sum += float(np.abs(diff).sum())
-            n_terms += diff.size
-            t += 1
-            for k in EstimatorNet.PARAM_ORDER:
-                g = grads[k]
-                m[k] *= _BETA1
-                m[k] += (1 - _BETA1) * g
-                v[k] *= _BETA2
-                v[k] += (1 - _BETA2) * g * g
-                m_hat = m[k] / (1 - _BETA1**t)
-                v_hat = v[k] / (1 - _BETA2**t)
-                net.params[k] -= _LEARNING_RATE * m_hat / (np.sqrt(v_hat) + _EPS)
-        history["train_l1"].append(abs_sum / n_terms)
-        if config.val_size:
-            pred = net.forward(x_val)
-            history["val_l1"].append(l1_loss(pred, y_val))
-        else:
-            history["val_l1"].append(float("nan"))
+    fork = _forks(config.batch_size)
+    with _Worker(net, samples, targets) if fork else nullcontext() as worker:
+        for epoch in range(config.epochs):
+            perm = np.random.default_rng([config.seed, epoch]).permutation(
+                config.train_size
+            )
+            abs_sum = 0.0
+            n_terms = 0
+            for start in range(0, config.train_size, config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                pred, grads = _step(net, samples, targets, idx, worker)
+                diff = pred - targets[idx]
+                abs_sum += float(np.abs(diff).sum())
+                n_terms += diff.size
+                t += 1
+                for k in EstimatorNet.PARAM_ORDER:
+                    g = grads[k]
+                    m[k] *= _BETA1
+                    m[k] += (1 - _BETA1) * g
+                    v[k] *= _BETA2
+                    v[k] += (1 - _BETA2) * g * g
+                    m_hat = m[k] / (1 - _BETA1**t)
+                    v_hat = v[k] / (1 - _BETA2**t)
+                    net.params[k] -= _LEARNING_RATE * m_hat / (np.sqrt(v_hat) + _EPS)
+            history["train_l1"].append(abs_sum / n_terms)
+            if config.val_size:
+                pred = _validate(net, samples, val_rows, worker)
+                history["val_l1"].append(l1_loss(pred, targets[val_rows]))
+            else:
+                history["val_l1"].append(float("nan"))
 
     if stats is not None:
         net.target_stats = stats
     return net, history
+
+
+# ---------------------------------------------------------------------------
+# The training step on two processes (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _inputs(samples: list[Sample], rows: np.ndarray) -> np.ndarray:
+    return np.stack([samples[i].input for i in rows])
+
+
+def _walk_blocks(net, samples, targets, idx, blocks, add) -> list:
+    return [
+        net.l1_block(_inputs(samples, idx[b]), targets[idx[b]], len(idx), add)
+        for b in blocks
+    ]
+
+
+def _forward_blocks(net, samples, rows, blocks) -> list:
+    return [net.forward(_inputs(samples, rows[b])) for b in blocks]
+
+
+def _step(net, samples, targets, idx, worker) -> tuple[np.ndarray, dict]:
+    """One step's output rows and gradients: every block here without a
+    worker, the first half of them here and the rest in the worker with one."""
+    blocks = step_blocks(len(idx))
+    half = len(blocks) // 2 if worker else len(blocks)
+    if worker:
+        worker.send(("step", net.params, idx))
+    grads = zero_gradients()
+    parts = _walk_blocks(net, samples, targets, idx, blocks[:half], partial(add_rows, grads))
+    if worker:
+        worker.send(grads)
+        rest, grads = worker.recv()
+        parts += rest
+    return head_gradients(grads, parts)
+
+
+def _validate(net, samples, rows, worker) -> np.ndarray:
+    blocks = step_blocks(len(rows))
+    half = len(blocks) // 2 if worker else len(blocks)
+    if worker:
+        worker.send(("forward", net.params, rows))
+    outs = _forward_blocks(net, samples, rows, blocks[:half])
+    if worker:
+        outs += worker.recv()
+    return np.concatenate(outs)
+
+
+def _serve(conn, parent_end, net, samples, targets) -> None:
+    """The worker's loop: for each request, walk the second half of its
+    blocks with the parameters it carries. It returns when the parent's end
+    of the pipe closes. An error is sent to the parent as its message, and
+    then every request is read and dropped until that end closes."""
+    parent_end.close()  # else the pipe would stay open if the parent died
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
+    try:
+        while True:
+            kind, net.params, rows = conn.recv()
+            try:
+                blocks = step_blocks(len(rows))
+                blocks = blocks[len(blocks) // 2 :]
+                if kind == "forward":
+                    reply = _forward_blocks(net, samples, rows, blocks)
+                else:
+                    kept = []
+                    parts = _walk_blocks(
+                        net, samples, targets, rows, blocks,
+                        lambda name, terms: kept.append((name, terms)),
+                    )
+                    grads = conn.recv()
+                    for name, terms in kept:
+                        add_rows(grads, name, terms)
+                    reply = parts, grads
+            except Exception as exc:
+                conn.send(f"{type(exc).__name__}: {exc}")
+                while True:
+                    conn.recv()
+            conn.send(reply)
+    except (EOFError, OSError):
+        return
+
+
+class _Worker:
+    """The parent's end of the forked worker. A worker that failed or died
+    raises `ChildProcessError` here, at the next send or receive."""
+
+    def __init__(self, net, samples, targets):
+        ctx = multiprocessing.get_context("fork")
+        self.conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(
+            target=_serve, args=(child_end, self.conn, net, samples, targets), daemon=True
+        )
+        self.process.start()
+        child_end.close()
+
+    def send(self, message) -> None:
+        try:
+            self.conn.send(message)
+        except OSError:
+            raise self._exited() from None
+
+    def recv(self):
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            raise self._exited() from None
+        if isinstance(reply, str):
+            raise ChildProcessError(f"training worker failed: {reply}")
+        return reply
+
+    def _exited(self) -> ChildProcessError:
+        self.process.join()
+        return ChildProcessError(f"training worker exited with code {self.process.exitcode}")
+
+    def __enter__(self) -> "_Worker":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.conn.close()
+        self.process.join()
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on two CPUs or more."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _forks(batch_size: int) -> bool:
+    """Whether `train` forks a worker: when a step has two blocks or more,
+    the process may run on two CPUs and the `fork` start method exists."""
+    return (
+        len(step_blocks(batch_size)) > 1
+        and _two_cpus()
+        and "fork" in multiprocessing.get_all_start_methods()
+    )
 
 
 def gradient_check(

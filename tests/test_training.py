@@ -3,13 +3,16 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from pipeboost import cli, training
 from pipeboost.embedding import build_embedding, mapped_input
 from pipeboost.errors import DatasetError
-from pipeboost.estimator import EstimatorNet
+from pipeboost.estimator import EstimatorNet, save_weights
 from pipeboost.simulator import simulate
 from pipeboost.training import (
     TrainConfig,
@@ -22,7 +25,7 @@ from pipeboost.training import (
     save_history_csv,
     train,
 )
-from pipeboost.workload import generate_profile
+from pipeboost.workload import generate_profile, save_profile
 
 
 def test_generate_dataset_shapes_and_labels(gen_profile):
@@ -132,6 +135,123 @@ def test_train_rejects_unprocessed_targets(gen_profile):
             samples,
             TrainConfig(epochs=1, train_size=10, val_size=2),
         )
+
+
+def test_train_rejects_inputs_of_another_shape(gen_profile):
+    samples = generate_dataset(gen_profile, count=12, seed=0)
+    _, samples = preprocess_targets(samples)
+    with pytest.raises(ValueError, match="input shape"):
+        train(
+            EstimatorNet.new((3, 5, gen_profile.max_layers)),
+            samples,
+            TrainConfig(epochs=1, train_size=10, val_size=2),
+        )
+
+
+def trained_bytes(profile, samples, stats, cfg, tmp_path, tag):
+    net = EstimatorNet.new((3, 6, profile.max_layers), seed=3)
+    net, history = train(net, samples, cfg, stats=stats)
+    save_weights(net, tmp_path / f"{tag}.bin")
+    save_history_csv(history, tmp_path / f"{tag}.csv")
+    return (tmp_path / f"{tag}.bin").read_bytes(), (tmp_path / f"{tag}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("batch, train_size", [(32, 68), (17, 56), (8, 20)])
+def test_the_worker_keeps_every_byte(gen_profile, tmp_path, monkeypatch, batch, train_size):
+    # with and without the forked worker: batch 32 splits 2 + 2 blocks, batch
+    # 17 (three blocks) 1 + 2, and the last batch of 4 or 5 rows is one block,
+    # which the worker walks alone; the 21 validation rows split 1 + 2 blocks.
+    # A batch of 8 rows is one block, so it forks no worker
+    samples = generate_dataset(gen_profile, count=train_size + 21, seed=6)
+    stats, samples = preprocess_targets(samples, train_size)
+    cfg = TrainConfig(epochs=3, batch_size=batch, seed=2, train_size=train_size, val_size=21)
+    forks = []
+    start = training._Worker.__init__
+
+    def counted(self, *args):
+        forks.append(batch)
+        start(self, *args)
+
+    monkeypatch.setattr(training._Worker, "__init__", counted)
+    monkeypatch.setattr(training, "_two_cpus", lambda: True)
+    split = trained_bytes(gen_profile, samples, stats, cfg, tmp_path, "split")
+    assert forks == ([batch] if batch > 8 else [])
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(training, "_two_cpus", lambda: False)
+    serial = trained_bytes(gen_profile, samples, stats, cfg, tmp_path, "serial")
+    assert len(forks) == (batch > 8)
+    assert split == serial
+
+
+def fail_in_the_worker(monkeypatch, how):
+    """Make `l1_block` fail in any process but this one: raise, or exit."""
+    parent = os.getpid()
+    block = EstimatorNet.l1_block
+
+    def failing(self, *args):
+        if os.getpid() != parent:
+            if how == "exit":
+                os._exit(3)
+            raise RuntimeError("injected")
+        return block(self, *args)
+
+    monkeypatch.setattr(EstimatorNet, "l1_block", failing)
+    monkeypatch.setattr(training, "_two_cpus", lambda: True)
+
+
+@pytest.mark.parametrize("how, message", [
+    ("raise", "training worker failed: RuntimeError: injected"),
+    ("exit", "training worker exited with code 3"),
+])
+def test_a_failed_worker_is_a_child_process_error(gen_profile, monkeypatch, how, message):
+    samples = generate_dataset(gen_profile, count=40, seed=0)
+    _, samples = preprocess_targets(samples, 32)
+    fail_in_the_worker(monkeypatch, how)
+    with pytest.raises(ChildProcessError, match=message):
+        train(
+            EstimatorNet.new((3, 6, gen_profile.max_layers)),
+            samples,
+            TrainConfig(epochs=1, batch_size=16, train_size=32, val_size=8),
+        )
+    assert multiprocessing.active_children() == []
+
+
+def test_train_command_reports_a_failed_worker(gen_profile, tmp_path, monkeypatch, capsys):
+    samples = generate_dataset(gen_profile, count=40, seed=0)
+    save_profile(gen_profile, tmp_path / "p.json")
+    save_dataset(samples, gen_profile, tmp_path / "d.json")
+    fail_in_the_worker(monkeypatch, "raise")
+    code = cli.main([
+        "train", "--profile", str(tmp_path / "p.json"), "--dataset", str(tmp_path / "d.json"),
+        "--epochs", "1", "--batch-size", "16", "--train-size", "32", "--val-size", "8",
+        "--out", str(tmp_path / "w.bin"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: training worker failed: RuntimeError: injected\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("mid_step", [False, True])
+def test_the_worker_returns_when_the_parent_end_closes(gen_profile, mid_step):
+    # idle, or waiting for a step's partial sums: both end at the EOF, which
+    # the worker sees only because it closed its copy of the parent's end
+    samples = generate_dataset(gen_profile, count=16, seed=0)
+    _, samples = preprocess_targets(samples)
+    targets = np.stack([s.target for s in samples])
+    net = EstimatorNet.new((3, 6, gen_profile.max_layers))
+    worker = training._Worker(net, samples, targets)
+    try:
+        if mid_step:
+            worker.send(("step", net.params, np.arange(16)))
+        worker.conn.close()
+        worker.process.join(timeout=60)
+        assert not worker.process.is_alive()
+        assert worker.process.exitcode == 0
+    finally:
+        if worker.process.is_alive():
+            worker.process.kill()
+            worker.process.join()
 
 
 def test_gradient_check_small_sample(gen_profile):
