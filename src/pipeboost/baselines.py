@@ -28,7 +28,7 @@ from .simulator import (
     stage_bounds,
     validate_mapping,
 )
-from .workload import DeviceProfile, DnnModel, Workload
+from .workload import DeviceProfile, DnnModel, Workload, stage_cost_table
 
 
 def gpu_only(workload: Workload, profile: DeviceProfile) -> Mapping:
@@ -104,10 +104,11 @@ def mosaic_schedule(
     bottleneck stage time (transfer added to every non-first stage).
     Contention between models is ignored by design.
 
-    Every candidate is scored at once from a (start, end, unit) stage-time
-    table. Of the candidates tied at the smallest bottleneck, the
-    lexicographically smallest per-layer tuple wins: the first one that
-    `iter_assignments` yields."""
+    Every candidate is scored at once from a (unit, start, end) stage-time
+    table: `stage_cost_table` of the predicted layer costs, with the transfer
+    added to every stage that starts past layer 0. Of the candidates tied at
+    the smallest bottleneck, the lexicographically smallest per-layer tuple
+    wins: the first one that `iter_assignments` yields."""
     if max_stages < 1:
         raise ValueError("max_stages must be >= 1")
     workload.validate_for(profile)
@@ -115,13 +116,11 @@ def mosaic_schedule(
     assignments = []
     for model_idx in workload.model_indices:
         model = profile.models[model_idx]
-        pred = linreg.predict_model(model)
         n = model.num_layers
-        table = np.zeros((n, n + 1, n_units))
-        for s in range(n):
-            for e in range(s + 1, n + 1):
-                for u in range(n_units):
-                    table[s, e, u] = pred[s:e, u].sum() + (profile.transfer_ms if s else 0.0)
+        pred = linreg.predict_model(model).T.tolist()
+        # None (e <= s) becomes NaN, which no candidate reads
+        table = np.array(stage_cost_table(pred), dtype=np.float64)
+        table[:, 1:] += profile.transfer_ms
         # per stage count k: (cut sets, unit sequences, their bottlenecks)
         scored = []
         for k in range(1, min(max_stages, n) + 1):
@@ -139,7 +138,7 @@ def mosaic_schedule(
             # each candidate's largest stage time, floored at 0.0
             bottleneck = np.zeros((len(starts), len(units)))
             for i in range(k):
-                stage = table[starts[:, None, i], ends[:, None, i], units[None, :, i]]
+                stage = table[units[None, :, i], starts[:, None, i], ends[:, None, i]]
                 np.maximum(bottleneck, stage, out=bottleneck)
             scored.append((starts, ends, units, bottleneck))
         best_time = min(bottleneck.min(initial=np.inf) for *_, bottleneck in scored)

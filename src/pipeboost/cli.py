@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 from . import baselines, mcts
+from .embedding import build_embedding
 from .estimator import EstimatorNet, load_weights, save_weights
 from .evaluators import EstimatorEvaluator, SimulatorEvaluator
 from .simulator import (
@@ -96,8 +97,7 @@ def cmd_train(args) -> int:
         train_size=args.train_size, val_size=args.val_size,
     )
     stats, samples = preprocess_targets(samples, config.train_size)
-    shape = (profile.num_units, len(profile.models), profile.max_layers)
-    net = EstimatorNet.new(shape, seed=config.seed)
+    net = EstimatorNet.new(samples[0].input.shape, seed=config.seed)
     net, history = train(net, samples, config, stats=stats)
     save_weights(net, args.out)
     if args.history:
@@ -112,8 +112,8 @@ def _make_evaluator(args, profile):
         return SimulatorEvaluator(profile)
     if not args.weights:
         raise ValueError("--weights is required with the estimator evaluator")
-    shape = (profile.num_units, len(profile.models), profile.max_layers)
-    return EstimatorEvaluator(load_weights(args.weights, shape), profile)
+    embedding = build_embedding(profile)
+    return EstimatorEvaluator(load_weights(args.weights, embedding.shape), profile, embedding)
 
 
 def _mcts_config(args, seed: int) -> mcts.MctsConfig:

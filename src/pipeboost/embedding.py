@@ -3,7 +3,8 @@
 The embedding tensor stacks one slice per compute unit; each slice is a
 (models x max_layers) matrix of per-layer execution times divided by the
 single largest layer cost anywhere in the profile, zero-padded on the
-right for models with fewer layers. A mapping is presented to the
+right for models with fewer layers; its shape, (units, models,
+max_layers), is the estimator's input shape. A mapping is presented to the
 estimator as the embedding masked by the mapping: each (model-in-mix,
 layer) cell keeps its value on the one unit that runs it, and every other
 cell is 0.0.
@@ -27,8 +28,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def build_embedding(profile: DeviceProfile) -> np.ndarray:
     """Read-only (units, models, max_layers) normalized execution times:
-    `profile.cost_array` with its first two axes swapped, divided by its maximum."""
-    data = profile.cost_array.transpose(1, 0, 2).copy()
+    `profile.layer_costs` zero-padded on the right and divided by its maximum."""
+    data = np.zeros((profile.num_units, len(profile.models), profile.max_layers))
+    for m, rows in enumerate(profile.layer_costs):
+        data[:, m, : len(rows[0])] = rows
     peak = data.max()
     if peak > 0:
         data /= peak

@@ -9,18 +9,19 @@ backward passes; there is no autodiff here.
 
 The net is written once, as the layer table `_LAYERS`, and one walk runs it:
 `EstimatorNet.forward` keeps nothing, and the training step `l1_gradients`
-keeps what its reverse walk over the table needs. Both walk a batch in row
-blocks of at most `_BLOCK_ROWS`, so columns and activations stay small. The
+keeps what its reverse walk over the table needs. Both walk a batch in the
+row blocks of `step_blocks`, so columns and activations stay small. The
 walk is exact row by row: every conv is a stacked matmul, and the head is
 one too, so a row's output has the same bits in any batch and `forward` of
 a batch equals `forward` of each row. The backward head `dout @ fc.w` is a
-plain matmul, which rounds a one-row block differently, so `l1_gradients`
-splits a batch evenly into blocks of two rows or more (`step_blocks`). A
-block's reverse walk (`l1_block`) hands each conv's gradient rows to its
-caller, and `l1_gradients` adds them into the sums row by row, in batch
-order, as one numpy reduction over the batch would (`add_rows`); so a step
-holds one block's activations whatever the batch size and gives one block's
-gradients bit for bit. `training` walks the same blocks on two processes.
+plain matmul, which rounds a one-row block differently, so `step_blocks`
+splits a batch evenly into blocks of two rows or more. A block's reverse
+walk (`l1_block`) hands each conv's gradient rows to its caller, and
+`l1_gradients` adds them into the sums row by row, in batch order, as one
+numpy reduction over the batch would (`add_rows`); so a step holds one
+block's activations whatever the batch size, and its gradients have the
+bits of one pass over the whole batch. `training` walks the same blocks on
+two processes.
 
 Total trainable parameters: 224 + 1,168 + 4,640 + 3,480 + 10,416 + 75
 = 20,003, asserted at construction.
@@ -259,12 +260,8 @@ _LAYERS = (
     "skip", "r2c1", "gelu", "r2c2", "add", "gelu",
 )
 
-# Rows per block of `EstimatorNet.forward` and `l1_gradients`. Five
-# 2-epoch `train` commands in one process, batch 32, (3, 11, 28) inputs, one
-# BLAS thread: peak RSS 51 MB with 4 rows, 55 MB with 8, 60 MB with 16 and
-# 72 MB with one 32-row block. 8 rows ran fastest: a median of 0.38 s per
-# epoch over 9 runs, against 0.39 s with 4 and 0.46 s (3 runs) with 16, where
-# each command faulted in about 73k pages, against 16k with 8.
+# The most rows in one block of `step_blocks`: a step's memory grows with
+# it, and fewer rows per block cost more numpy calls per row.
 _BLOCK_ROWS = 8
 
 
@@ -341,15 +338,14 @@ class EstimatorNet:
         return np.matmul(g[:, None, :], p["fc.w"].T)[:, 0] + p["fc.b"]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Inference: one walk per block of `_BLOCK_ROWS` rows.
+        """Inference: one walk per block of `step_blocks(len(x))`.
 
         A single (C, H, W) input gives a (3,) output; a batch gives (B, 3),
         and an empty batch (0, 3).
         """
         single = np.asarray(x).ndim == 3
         x = self._check(x)
-        blocks = range(0, max(len(x), 1), _BLOCK_ROWS)
-        out = np.concatenate([self._walk(x[a : a + _BLOCK_ROWS], None) for a in blocks])
+        out = np.concatenate([self._walk(x[b], None) for b in step_blocks(len(x))])
         return out[0] if single else out
 
     def l1_gradients(self, x: np.ndarray, y: np.ndarray):
@@ -403,10 +399,11 @@ class EstimatorNet:
 
 
 def step_blocks(n: int) -> list[slice]:
-    """The row blocks of an n-row training step: ceil(n / `_BLOCK_ROWS`)
-    even parts, so none has one row unless the batch has, because the
-    backward head's `dout @ fc.w` rounds a one-row matmul differently."""
-    blocks = -(-n // _BLOCK_ROWS)
+    """The row blocks of an n-row batch, in order: max(1, ceil(n /
+    `_BLOCK_ROWS`)) even parts, so none has one row unless the batch has,
+    because the backward head's `dout @ fc.w` rounds a one-row matmul
+    differently. An empty batch is one empty block."""
+    blocks = max(1, -(-n // _BLOCK_ROWS))
     return [slice(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
 
 

@@ -4,8 +4,7 @@ Compute units, per-kernel benchmark times, DNN layer specs, device profiles,
 and workload mixes, plus a seeded synthetic profile generator that stands in
 for on-board benchmarking. Layer cost on a unit is the sum of its kernel
 times on that unit; `DeviceProfile.layer_costs` holds every layer cost of a
-profile, computed once, `DeviceProfile.cost_array` the same table as a
-zero-padded numpy array, and `DeviceProfile.stage_costs` every stage cost,
+profile, computed once, and `DeviceProfile.stage_costs` every stage cost,
 built a model at a time on first use.
 """
 
@@ -18,8 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-
-import numpy as np
 
 from .errors import MappingError, ProfileError
 
@@ -114,8 +111,8 @@ class DeviceProfile:
     def layer_costs(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
         """layer_costs[m][u][l]: `layer_cost` of model m's layer l on unit u.
 
-        Built on first use and kept; every stage cost, the regression targets
-        and the embedding read this table instead of the kernel dicts.
+        Built on first use and kept; the stage costs, the regression targets
+        and the embedding read this table, not the kernel dicts.
         """
         return tuple(
             tuple(
@@ -129,18 +126,9 @@ class DeviceProfile:
     def stage_costs(self) -> dict:
         """stage_costs[m][u][s][e]: the cost of model m's layers s to e - 1 on
         unit u, for s < e. Each model's table is built when it is first read;
-        every stage cost in the package reads it."""
+        every stage cost of measured layer costs reads it, and the regression
+        baseline costs its predicted stages by the same `stage_cost_table`."""
         return _StageCosts(self.layer_costs)
-
-    @cached_property
-    def cost_array(self) -> np.ndarray:
-        """`layer_costs` as a read-only (models, units, max_layers) float64
-        array, zero-padded on the right for models with fewer layers."""
-        data = np.zeros((len(self.models), self.num_units, self.max_layers))
-        for m, rows in enumerate(self.layer_costs):
-            data[m, :, : len(rows[0])] = rows
-        data.flags.writeable = False
-        return data
 
     def gpu_unit(self) -> ComputeUnit:
         gpus = [u for u in self.units if u.kind is UnitKind.GPU]

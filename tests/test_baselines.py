@@ -254,15 +254,32 @@ def test_mosaic_prefers_fast_unit_when_obvious(tiny_profile):
     assert m.assignments[0] == (0, 0)
 
 
-@pytest.mark.parametrize("profile_seed", [11, 22, 33])
-def test_mosaic_equals_stage_sum_reference(profile_seed):
-    profile = pb.generate_profile(8, seed=profile_seed)
+def mosaic_case(case):
+    """A profile and the mixes to schedule on it: all 8 models of a seeded
+    profile, ten 4-model mixes of the bench's 11-model profile, or all 8
+    models of a profile of 1-4 layers per model."""
+    if case == "mixes-of-4":
+        rng = random.Random(0)
+        mixes = [Workload(tuple(rng.sample(range(11), 4))) for _ in range(10)]
+        return pb.generate_profile(11, seed=0), mixes
+    if case == "short-models":
+        profile = pb.generate_profile(8, seed=0, config=pb.GeneratorConfig(layer_range=(1, 4)))
+    else:
+        profile = pb.generate_profile(8, seed=case)
+    return profile, [Workload(tuple(range(8)))]
+
+
+@pytest.mark.parametrize("case", [11, 22, 33, "mixes-of-4", "short-models"])
+def test_mosaic_equals_stage_sum_reference(case):
+    # the reference sums each stage with numpy; `mosaic_schedule` reads the
+    # Python sums of `stage_cost_table`, so a pick that rounding moves fails
+    profile, mixes = mosaic_case(case)
     lin = fit_linreg(profile)
-    everything = Workload(tuple(range(8)))
-    for limit in (1, 2, 3):
-        assert mosaic_schedule(everything, profile, lin, limit) == mosaic_by_stage_sums(
-            everything, profile, lin, limit
-        )
+    for mix in mixes:
+        for limit in (1, 2, 3):
+            assert mosaic_schedule(mix, profile, lin, limit) == mosaic_by_stage_sums(
+                mix, profile, lin, limit
+            ), (mix, limit)
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.5, 1.0, 2.0])

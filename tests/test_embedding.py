@@ -19,6 +19,18 @@ def test_embedding_shape_and_normalization(tiny_profile):
     assert emb[2, 0, 1] == 1.0
     # exact ratio check for one cell
     assert emb[0, 0, 0] == pytest.approx(2.0 / 12.0)
+    # cell by cell on models of uneven length: each layer cost over the
+    # largest one, and zeros past each model's last layer
+    profile = generate_profile(6, seed=3)
+    assert len({m.num_layers for m in profile.models}) > 1
+    costs = profile.layer_costs
+    peak = max(c for rows in costs for row in rows for c in row)
+    want = np.zeros((profile.num_units, len(profile.models), profile.max_layers))
+    for m, rows in enumerate(costs):
+        for u, row in enumerate(rows):
+            for l, c in enumerate(row):
+                want[u, m, l] = c / peak
+    assert np.array_equal(build_embedding(profile), want)
 
 
 def test_embedding_zero_padding(tiny_profile):

@@ -1,9 +1,12 @@
 """Network structure, numerics, and the weights file format."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pipeboost.estimator import (
     PARAM_COUNT,
@@ -19,6 +22,7 @@ from pipeboost.estimator import (
     gelu_grad,
     load_weights,
     save_weights,
+    step_blocks,
 )
 from pipeboost.training import gradient_check
 
@@ -56,6 +60,16 @@ def test_init_determinism_and_seed_sensitivity():
     )
     # biases start at zero
     assert not a.params["convA.b"].any()
+
+
+@given(st.integers(0, 300))
+def test_step_blocks_split_a_batch_evenly_in_order(n):
+    blocks = step_blocks(n)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    assert len(blocks) == max(1, math.ceil(n / 8))
+    sizes = [b.stop - b.start for b in blocks]
+    assert max(sizes) - min(sizes) <= 1
+    assert n == 1 or 1 not in sizes
 
 
 def test_forward_shapes_and_batching():
@@ -286,18 +300,21 @@ def test_step_memory_is_flat_in_the_batch_size():
 
 def test_forward_is_exact_row_by_row():
     # a batch gives each row the bits of a batch of one, whether `forward`
-    # runs it in row blocks (a one-row last block among them) or one walk
-    # takes it whole; so a search that scores mappings one at a time and one
-    # that scores them in batches agree. The batch-1 head keeps the bits of
-    # the plain `g @ fc.w.T`
+    # runs it in its even `step_blocks`, in blocks of 8 rows with a one-row
+    # last block, or in one walk; so a search that scores mappings one at a
+    # time and one that scores them in batches agree. The batch-1 head keeps
+    # the bits of the plain `g @ fc.w.T`
     net = EstimatorNet.new((3, 4, 7), seed=2)
     rng = np.random.default_rng(0)
     random_biases(net, rng)
     x = rng.random((64, 3, 4, 7))
     one_by_one = np.stack([net.forward(row) for row in x])
-    for rows in range(1, 65):
+    for rows in range(65):
         assert np.array_equal(net.forward(x[:rows]), one_by_one[:rows]), rows
         assert np.array_equal(net._walk(x[:rows], None), one_by_one[:rows]), rows
+    for rows in (0, 1, 9, 17, 50):
+        eights = [net._walk(x[a : min(a + 8, rows)], None) for a in range(0, max(rows, 1), 8)]
+        assert np.array_equal(np.concatenate(eights), one_by_one[:rows]), rows
     w, b = net.params["fc.w"], net.params["fc.b"]
     for row in x:
         cache = []
