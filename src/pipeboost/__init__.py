@@ -10,7 +10,7 @@ from .baselines import (
     random_best,
 )
 from .embedding import build_embedding
-from .errors import DatasetError, MappingError, ProfileError, SearchSpaceError
+from .errors import DatasetError, MappingError, ProfileError, SearchSpaceError, WeightsError
 from .estimator import (
     EstimatorNet,
     TargetStats,
@@ -35,10 +35,12 @@ from .simulator import (
     validate_mapping,
 )
 from .training import (
+    Label,
     Sample,
     TrainConfig,
     generate_dataset,
     gradient_check,
+    label_dataset,
     load_dataset,
     preprocess_targets,
     save_dataset,

@@ -105,8 +105,9 @@ def mosaic_schedule(
     Contention between models is ignored by design.
 
     Every candidate is scored at once from a (unit, start, end) stage-time
-    table: `stage_cost_table` of the predicted layer costs, with the transfer
-    added to every stage that starts past layer 0. Of the candidates tied at
+    table: `stage_cost_table` of the predicted layer costs, each stage their
+    left fold from 0 as for measured costs, with the transfer added to every
+    stage that starts past layer 0. Of the candidates tied at
     the smallest bottleneck, the lexicographically smallest per-layer tuple
     wins: the first one that `iter_assignments` yields."""
     if max_stages < 1:

@@ -24,7 +24,7 @@ from .simulator import (
 )
 from .training import (
     TrainConfig,
-    generate_dataset,
+    label_dataset,
     load_dataset,
     preprocess_targets,
     save_dataset,
@@ -80,12 +80,12 @@ def cmd_genprofile(args) -> int:
 
 def cmd_dataset(args) -> int:
     profile = load_profile(args.profile)
-    samples = generate_dataset(
+    labels = label_dataset(
         profile, count=args.count, mix_range=(args.mix_min, args.mix_max),
         seed=args.seed,
     )
-    save_dataset(samples, profile, args.out)
-    print(f"wrote {args.out}: {len(samples)} samples")
+    save_dataset(labels, profile, args.out)
+    print(f"wrote {args.out}: {len(labels)} samples")
     return 0
 
 

@@ -13,5 +13,9 @@ class DatasetError(ValueError):
     """A dataset file does not have the layout `save_dataset` writes."""
 
 
+class WeightsError(ValueError):
+    """A weights file does not have the layout `save_weights` writes."""
+
+
 class SearchSpaceError(RuntimeError):
     """An exhaustive enumeration would exceed the configured cap."""

@@ -37,6 +37,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .errors import WeightsError
+
 PARAM_COUNT = 20_003
 _MAGIC = b"EST1"
 _VERSION = 1
@@ -452,15 +454,15 @@ def load_weights(path: str | Path, input_shape: tuple[int, int, int]) -> Estimat
         raise FileNotFoundError(f"weights file not found: {p}")
     raw = p.read_bytes()
     if len(raw) < 16 or raw[:4] != _MAGIC:
-        raise ValueError(f"{p}: not a weights file (bad magic)")
+        raise WeightsError(f"{p}: not a weights file (bad magic)")
     version, count = struct.unpack("<IQ", raw[4:16])
     if version != _VERSION:
-        raise ValueError(f"{p}: unsupported weights version {version}")
+        raise WeightsError(f"{p}: unsupported weights version {version}")
     expected = 16 + (count + 12) * 8
     if count != PARAM_COUNT or len(raw) != expected:
-        raise ValueError(f"{p}: malformed weights file ({count} params, {len(raw)} bytes)")
+        raise WeightsError(f"{p}: malformed weights file ({count} params, {len(raw)} bytes)")
     if not np.isfinite(np.frombuffer(raw[16:], dtype="<f8")).all():
-        raise ValueError(f"{p}: weights file holds non-finite values")
+        raise WeightsError(f"{p}: weights file holds non-finite values")
     flat = np.frombuffer(raw[16 : 16 + count * 8], dtype="<f8")
     params = {}
     pos = 0

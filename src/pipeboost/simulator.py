@@ -17,10 +17,11 @@ The throughput model, with times in ms and rates in inferences/second:
   7. average throughput    T = sum(x_m) / M
 
 A stage's cost(s) is read from `profile.stage_costs`, whose entry for
-layers s to e - 1 is the Python `sum` of their `profile.layer_costs`,
-taken in layer order. It is not a difference of prefix sums: `P[e] - P[s]`
-rounds differently from the sum, and the searches compare near-equal
-scores, so a last-digit change can change the mapping they pick.
+layers s to e - 1 is their `profile.layer_costs` added in layer order onto
+the int 0 (`workload.stage_cost_table`), Python 3.11's `sum` of the slice.
+It is not a difference of prefix sums: `P[e] - P[s]` rounds differently
+from the fold, and the searches compare near-equal scores, so a last-digit
+change can change the mapping they pick.
 
 `validate_mapping` is the rule of every checked entry: `simulate`,
 `stages_of`, `load_mapping` and the embedding's `mapped_input`. Each search

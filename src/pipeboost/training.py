@@ -36,6 +36,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,20 +92,28 @@ class TrainConfig:
             raise ValueError("split sizes must be non-negative")
 
 
-def generate_dataset(
+class Label(NamedTuple):
+    """One drawn sample without its net input: the mix, its mapping and the
+    simulator's per-unit rates. A dataset file holds these."""
+
+    workload: Workload
+    mapping: Mapping
+    target_raw: tuple[float, ...]
+
+
+def label_dataset(
     profile: DeviceProfile,
     count: int = 500,
     mix_range: tuple[int, int] = (1, 5),
     seed: int = 0,
-) -> list[Sample]:
+) -> list[Label]:
     """Random mixes with random valid mappings, labelled by the simulator.
 
     Each sample draws from its own string-derived rng, so samples are
     independent of one another and of `count`. A sample draws its mix size
     and models as `rng.randint(lo, hi)` and `rng.sample(range(models), size)`
     would, through `randbelow` and `sample_range`, then its mapping by
-    `random_mapping_rng`. `simulate` checks the mapping, so its input is
-    gathered without `mapped_input`'s second check.
+    `random_mapping_rng`; `simulate` checks the mapping and labels it.
     """
     if count < 1:
         raise ValueError(f"dataset count must be >= 1, got {count}")
@@ -115,25 +124,37 @@ def generate_dataset(
         raise ValueError(
             f"profile has {len(profile.models)} models, need at least {hi}"
         )
-    embedding = build_embedding(profile)
-    samples = []
+    labels = []
     for i in range(count):
         rng = random.Random(f"ds:{seed}:{i}")
         size = lo + randbelow(rng.getrandbits, hi - lo + 1)
         workload = Workload(tuple(sample_range(rng.getrandbits, 0, len(profile.models), size)))
         mapping = random_mapping_rng(workload, profile, profile.num_units, rng)
-        report = simulate(workload, mapping, profile)
-        x = _gather(embedding, workload, [mapping.assignments], profile)[0]
-        samples.append(
-            Sample(
-                input=x,
-                target_raw=np.array(report.per_unit_inf_s, dtype=np.float64),
-                target=None,
-                workload=workload,
-                mapping=mapping,
-            )
+        labels.append(Label(workload, mapping, simulate(workload, mapping, profile).per_unit_inf_s))
+    return labels
+
+
+def generate_dataset(
+    profile: DeviceProfile,
+    count: int = 500,
+    mix_range: tuple[int, int] = (1, 5),
+    seed: int = 0,
+) -> list[Sample]:
+    """The samples of `label_dataset`'s labels, each with its net input.
+    `simulate` has checked each mapping, so its input is gathered without
+    `mapped_input`'s second check."""
+    labels = label_dataset(profile, count, mix_range, seed)
+    embedding = build_embedding(profile)
+    return [
+        Sample(
+            input=_gather(embedding, workload, [mapping.assignments], profile)[0],
+            target_raw=np.array(target_raw, dtype=np.float64),
+            target=None,
+            workload=workload,
+            mapping=mapping,
         )
-    return samples
+        for workload, mapping, target_raw in labels
+    ]
 
 
 def preprocess_targets(
@@ -396,7 +417,11 @@ def gradient_check(
 # Persistence: dataset JSON (inputs rebuilt from the profile) and history CSV
 # ---------------------------------------------------------------------------
 
-def save_dataset(samples: list[Sample], profile: DeviceProfile, path: str | Path) -> None:
+def save_dataset(
+    samples: list[Sample] | list[Label], profile: DeviceProfile, path: str | Path
+) -> None:
+    """Write the mix, mapping and `target_raw` of each sample or label; the
+    net inputs are not written, and `load_dataset` builds them."""
     rows = [
         {**s.mapping.to_dict(profile, s.workload), "target_raw": [float(v) for v in s.target_raw]}
         for s in samples

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import MappingError, ProfileError
@@ -195,13 +196,18 @@ def workload_from_names(profile: DeviceProfile, names: list[str]) -> Workload:
 
 
 def stage_cost_table(rows) -> tuple:
-    """table[u][s][e] == sum(rows[u][s:e]) for s < e (None for e <= s), of
-    one model's layer costs `rows[u][l]`. Each entry is the Python `sum` of
-    its slice, not a difference of prefix sums: `P[e] - P[s]` rounds
+    """table[u][s][e], of one model's layer costs `rows[u][l]`: for s < e the
+    cost of layers s to e - 1, the left fold from the int 0,
+    `(((0 + rows[u][s]) + rows[u][s + 1]) + ...) + rows[u][e - 1]`, and None
+    for e <= s. Each start row s is one running sum over `row[s:]`, so a row
+    of n layers takes n(n + 1)/2 additions. The fold is Python 3.11's `sum`
+    of the slice bit for bit (a leading -0.0 gives 0.0 in both); 3.12's
+    `sum` is compensated, so the fold, not `sum`, is the rule on every
+    Python. It is not a difference of prefix sums: `P[e] - P[s]` rounds
     differently, and the searches compare near-equal scores."""
     return tuple(
         tuple(
-            (None,) * (s + 1) + tuple(sum(row[s:e]) for e in range(s + 1, len(row) + 1))
+            (None,) * (s + 1) + tuple(accumulate(row[s:], initial=0))[1:]
             for s in range(len(row))
         )
         for row in rows

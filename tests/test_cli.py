@@ -385,6 +385,26 @@ def test_non_finite_weights_are_a_clean_error(cli_workspace, capsys, tmp_path):
     assert err.startswith("error:") and "non-finite" in err
 
 
+@pytest.mark.parametrize("offset, value, says", [
+    (0, b"XXXX", "bad magic"),
+    (4, struct.pack("<I", 9), "unsupported weights version 9"),
+    (8, struct.pack("<Q", 5), "malformed weights file (5 params"),
+])
+def test_bad_weights_header_is_one_error_line(cli_workspace, capsys, tmp_path, offset, value, says):
+    raw = bytearray((cli_workspace / "weights.bin").read_bytes())
+    raw[offset:offset + len(value)] = value
+    bad = tmp_path / "weights.bin"
+    bad.write_bytes(bytes(raw))
+    code, out, err = run(
+        capsys, "schedule", "--profile", str(cli_workspace / "profile.json"),
+        "--mix", "net00,net03", "--weights", str(bad), "--budget", "5",
+        "--out", str(tmp_path / "mapping.json"),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: ") and says in err and err.count("\n") == 1
+    assert not (tmp_path / "mapping.json").exists()
+
+
 def test_dataset_without_samples_is_a_clean_error(cli_workspace, capsys, tmp_path):
     bad = tmp_path / "dataset.json"
     bad.write_text(json.dumps({"rows": []}))
@@ -433,3 +453,16 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "95284"
+
+
+def test_python_dash_m_pipeboost_runs_the_cli():
+    # `python -m pipeboost` from a checkout, with src/ on PYTHONPATH
+    src = str(Path(pipeboost.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pipeboost", "--help"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: pipeboost ")
+    assert "genprofile" in proc.stdout

@@ -1,6 +1,7 @@
 """Network structure, numerics, and the weights file format."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from pipeboost.estimator import (
     save_weights,
     step_blocks,
 )
+from pipeboost.errors import WeightsError
 from pipeboost.training import gradient_check
 
 
@@ -521,6 +523,46 @@ def test_save_weights_requires_stats(tmp_path):
     net = EstimatorNet.new(SHAPE, seed=0)
     with pytest.raises(ValueError):
         save_weights(net, tmp_path / "w.bin")
+
+
+def _nan_first_param(raw):
+    raw[16:24] = struct.pack("<d", math.nan)
+
+
+def _bad_magic(raw):
+    raw[0] = 0
+
+
+def _bad_version(raw):
+    raw[4:8] = struct.pack("<I", 2)
+
+
+def _short(raw):
+    del raw[-4:]
+
+
+def _bad_count(raw):
+    raw[8:16] = struct.pack("<Q", PARAM_COUNT - 1)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_bad_magic, "not a weights file (bad magic)"),
+    (_bad_version, "unsupported weights version 2"),
+    (_short, f"malformed weights file ({PARAM_COUNT} params, {16 + (PARAM_COUNT + 12) * 8 - 4} bytes)"),
+    (_bad_count, f"malformed weights file ({PARAM_COUNT - 1} params, {16 + (PARAM_COUNT + 12) * 8} bytes)"),
+    (_nan_first_param, "weights file holds non-finite values"),
+])
+def test_load_weights_refusals_are_weights_errors(tmp_path, corrupt, message):
+    net = EstimatorNet.new(SHAPE, seed=0)
+    net.target_stats = TargetStats.fit(np.ones((4, 3)) + np.arange(4)[:, None])
+    path = tmp_path / "w.bin"
+    save_weights(net, path)
+    raw = bytearray(path.read_bytes())
+    corrupt(raw)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(WeightsError) as exc:
+        load_weights(path, SHAPE)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_load_weights_rejects_corruption(tmp_path):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipeboost.baselines import gpu_only
+from pipeboost.baselines import (
+    GaConfig,
+    fit_linreg,
+    ga_schedule,
+    gpu_only,
+    mosaic_schedule,
+    random_best,
+)
 from pipeboost.errors import MappingError
 from pipeboost.estimator import EstimatorNet, TargetStats
 from pipeboost.evaluators import EstimatorEvaluator, SimulatorEvaluator
@@ -25,13 +32,20 @@ from pipeboost.mcts import (
 )
 from pipeboost.simulator import (
     Mapping,
+    count_assignments,
     exhaustive_best,
     random_mapping_rng,
     simulate,
     stage_bounds,
     validate_mapping,
 )
-from pipeboost.workload import ComputeUnit, UnitKind, Workload, generate_profile
+from pipeboost.workload import (
+    ComputeUnit,
+    GeneratorConfig,
+    UnitKind,
+    Workload,
+    generate_profile,
+)
 
 
 CFG = MctsConfig(budget=50, seed=0)
@@ -441,3 +455,45 @@ def test_schedule_returns_a_mapping_within_the_stage_limit(
     validate_mapping(mapping, profile, wl)
     assert all(len(stage_bounds(a)) <= stage_limit for a in mapping.assignments)
     assert stats["iterations"] == budget
+
+
+def _tree_nodes(counts, num_units, stage_limit):
+    """Nodes of the whole search tree of a mix whose models have `counts`
+    layers: the root and every legal prefix of the flat layer list."""
+    nodes, complete = 1, 1
+    for n in counts:
+        prefixes = sum(count_assignments(j, num_units, stage_limit) for j in range(1, n + 1))
+        nodes += complete * prefixes
+        complete *= count_assignments(n, num_units, stage_limit)
+    return nodes
+
+
+def test_tree_nodes_counts_every_prefix():
+    # 3 + 2 layers, 3 units, one stage a model: 1 + 3 + 3 + 3 + 9 + 9 nodes
+    assert _tree_nodes((3, 2), 3, 1) == 28
+
+
+@pytest.mark.parametrize("stage_limit", [1, 2, 3])
+def test_no_method_beats_the_oracle_and_a_full_tree_matches_it(stage_limit):
+    # 40 tiny instances per stage limit, 120 in all: no search may score a
+    # mapping above exhaustive_best's, and MCTS with three times its tree's
+    # node count as budget (UCT revisits complete leaves before it has
+    # expanded every node, so the node count alone falls short) finds it
+    for seed in range(40):
+        profile = generate_profile(3, seed, GeneratorConfig(layer_range=(1, 3)))
+        wl = Workload(tuple(random.Random(seed).sample(range(3), 2)))
+        best = exhaustive_best(wl, profile, stage_limit)[1].avg_throughput
+        ev = SimulatorEvaluator(profile)
+        found = {
+            "random-best": random_best(wl, profile, max_stages=stage_limit, seed=seed)[0],
+            "mosaic": mosaic_schedule(wl, profile, fit_linreg(profile), max_stages=stage_limit),
+            "ga": ga_schedule(wl, profile, ev, GaConfig(stage_limit=stage_limit, seed=seed)),
+            "mcts": schedule(wl, profile, ev, MctsConfig(stage_limit=stage_limit, seed=seed))[0],
+        }
+        for method, mapping in found.items():
+            assert simulate(wl, mapping, profile).avg_throughput <= best, (seed, method)
+        counts = [profile.models[i].num_layers for i in wl.model_indices]
+        budget = 3 * _tree_nodes(counts, profile.num_units, stage_limit)
+        cfg = MctsConfig(budget=budget, stage_limit=stage_limit, seed=seed)
+        mapping, _ = schedule(wl, profile, ev, cfg)
+        assert simulate(wl, mapping, profile).avg_throughput == best, seed

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from pipeboost import cli, training
+from pipeboost import cli, embedding, training
 from pipeboost.embedding import build_embedding, mapped_input
 from pipeboost.errors import DatasetError
 from pipeboost.estimator import EstimatorNet, save_weights
@@ -71,6 +71,25 @@ def test_bench_recipe_dataset_mappings_are_pinned():
     rows = [s.mapping.to_dict(profile, s.workload) for s in samples]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "a5067ad4cb6e5a7a99e35d6820690bee7a4149352f822eee60f82fd8f60ccafb"
+
+
+def test_dataset_command_builds_no_inputs(tmp_path, monkeypatch, capsys):
+    # the file holds labels only, so `dataset` gathers no net input; the
+    # bench recipe's file, targets included, is pinned by its hash
+    def no_gather(*args):
+        raise AssertionError("dataset built a net input")
+
+    monkeypatch.setattr(training, "_gather", no_gather)
+    monkeypatch.setattr(embedding, "_gather", no_gather)
+    prof, data = tmp_path / "p.json", tmp_path / "d.json"
+    assert cli.main(["genprofile", "--models", "11", "--seed", "0", "--out", str(prof)]) == 0
+    assert cli.main([
+        "dataset", "--profile", str(prof), "--count", "500", "--mix-min", "1",
+        "--mix-max", "5", "--seed", "0", "--out", str(data),
+    ]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {data}: 500 samples"
+    digest = hashlib.sha256(data.read_bytes()).hexdigest()
+    assert digest == "c9fcaf46aef7105d03dd1798a23b8fa24a18a6e3e75ebf8e224fe88e68fe4629"
 
 
 def test_generate_dataset_validation(gen_profile):

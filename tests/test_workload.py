@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipeboost as pb
+from pipeboost.baselines import fit_linreg
 from pipeboost.errors import ProfileError
 from pipeboost.workload import (
     GeneratorConfig,
@@ -16,6 +18,7 @@ from pipeboost.workload import (
     profile_from_dict,
     profile_to_dict,
     save_profile,
+    stage_cost_table,
     workload_from_names,
 )
 
@@ -37,17 +40,37 @@ def test_layer_cost_table_equals_layer_cost(seed):
             assert profile.layer_costs[m][u] == tuple(layer_cost(l, u) for l in model.layers)
 
 
+def _left_fold(xs):
+    """xs[0] + xs[1] + ..., added left to right onto the int 0."""
+    total = 0
+    for x in xs:
+        total = total + x
+    return total
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_stage_cost_table_is_the_sum_of_each_slice(seed):
-    # exact equality: prefix-sum differences would round differently
+    # bit for bit: prefix-sum differences would round differently, and a
+    # fold from -0.0 would keep a leading -0.0 where the fold from 0 gives 0.0
     profile = pb.generate_profile(3, seed=seed)
-    for m, rows in enumerate(profile.layer_costs):
-        table = profile.stage_costs[m]
+    linreg = fit_linreg(profile)
+    cases = list(profile.layer_costs)
+    for model in profile.models:
+        pred = linreg.predict_model(model).T.tolist()
+        cases += [pred, [[-v for v in row] for row in pred], [[-0.0, *row] for row in pred]]
+    cases.append([[-0.0], [-0.0, -0.0, 1.5], [-0.0, -2.5, 1e16, 1.0, -1e16]])
+    for rows in cases:
+        table = stage_cost_table(rows)
         for u, row in enumerate(rows):
             for s in range(len(row)):
+                assert table[u][s][: s + 1] == (None,) * (s + 1)
                 for e in range(s + 1, len(row) + 1):
-                    assert table[u][s][e] == sum(row[s:e])
+                    assert table[u][s][e].hex() == _left_fold(row[s:e]).hex()
+                    if sys.version_info < (3, 12):  # 3.12's sum is compensated
+                        assert table[u][s][e].hex() == sum(row[s:e]).hex()
+    for m, rows in enumerate(profile.layer_costs):
+        assert profile.stage_costs[m] == stage_cost_table(rows)
 
 
 def test_stage_costs_build_only_the_models_read():
