@@ -261,28 +261,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_seed(p):
-        p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
+    flags = {  # the flags that several commands share, declared once
+        "--profile": dict(required=True),
+        "--weights": {},
+        "--evaluator": dict(choices=("estimator", "simulator"), default="estimator"),
+        "--budget": dict(type=int, default=mcts.MctsConfig.budget),
+        "--depth": dict(type=int, default=mcts.MctsConfig.max_depth),
+        "--stage-limit": dict(type=int, default=mcts.MctsConfig.stage_limit),
+        "--seed": dict(type=int, default=0, help="rng seed (default: 0)"),
+    }
+
+    def add(p, *names):
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("genprofile", help="generate a synthetic device profile")
     p.add_argument("--models", type=int, default=11)
     p.add_argument("--factors", help="per-unit slowdown factors, e.g. 1.0,3.0,8.0")
     p.add_argument("--layer-range", help="min,max layers per model")
     p.add_argument("--out", required=True)
-    add_seed(p)
+    add(p, "--seed")
     p.set_defaults(func=cmd_genprofile)
 
     p = sub.add_parser("dataset", help="generate a simulator-labelled dataset")
-    p.add_argument("--profile", required=True)
+    add(p, "--profile")
     p.add_argument("--count", type=int, default=500)
     p.add_argument("--mix-min", type=int, default=1)
     p.add_argument("--mix-max", type=int, default=5)
     p.add_argument("--out", required=True)
-    add_seed(p)
+    add(p, "--seed")
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("train", help="train the throughput net on a dataset")
-    p.add_argument("--profile", required=True)
+    add(p, "--profile")
     p.add_argument("--dataset", required=True)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=32)
@@ -290,42 +301,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-size", type=int, default=100)
     p.add_argument("--out", required=True)
     p.add_argument("--history", help="optional loss-history CSV path")
-    add_seed(p)
+    add(p, "--seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("schedule", help="search a mapping for a mix")
-    p.add_argument("--profile", required=True)
+    add(p, "--profile")
     p.add_argument("--mix", required=True, help="comma-separated model names")
-    p.add_argument("--weights")
-    p.add_argument("--evaluator", choices=("estimator", "simulator"), default="estimator")
-    p.add_argument("--budget", type=int, default=500)
-    p.add_argument("--depth", type=int, default=100)
-    p.add_argument("--stage-limit", type=int, default=3)
+    add(p, "--weights", "--evaluator", "--budget", "--depth", "--stage-limit")
     p.add_argument("--out", required=True)
-    add_seed(p)
+    add(p, "--seed")
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("simulate", help="score a mapping file with the simulator")
-    p.add_argument("--profile", required=True)
+    add(p, "--profile")
     p.add_argument("--mapping", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="benchmark scheduling methods over mixes")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--weights")
-    p.add_argument("--evaluator", choices=("estimator", "simulator"), default="estimator")
+    add(p, "--profile", "--weights", "--evaluator")
     p.add_argument("--mix", action="append", help="explicit mix (repeatable)")
     p.add_argument("--random-mixes", type=int, default=0)
     p.add_argument("--mix-size", type=int, default=4)
     p.add_argument("--methods", default="gpu,random-best,mosaic,ga,mcts")
     p.add_argument("--random-n", type=int, default=200)
-    p.add_argument("--budget", type=int, default=500)
-    p.add_argument("--depth", type=int, default=100)
-    p.add_argument("--stage-limit", type=int, default=3)
+    add(p, "--budget", "--depth", "--stage-limit")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
-    add_seed(p)
+    add(p, "--seed")
     p.set_defaults(func=lambda args, _p=p: cmd_compare(args, _p))
 
     p = sub.add_parser("count", help="size of the assignment space")

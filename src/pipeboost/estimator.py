@@ -15,13 +15,15 @@ walk is exact row by row: every conv is a stacked matmul, and the head is
 one too, so a row's output has the same bits in any batch and `forward` of
 a batch equals `forward` of each row. The backward head `dout @ fc.w` is a
 plain matmul, which rounds a one-row block differently, so `step_blocks`
-splits a batch evenly into blocks of two rows or more. A block's reverse
-walk (`l1_block`) hands each conv's gradient rows to its caller, and
-`l1_gradients` adds them into the sums row by row, in batch order, as one
-numpy reduction over the batch would (`add_rows`); so a step holds one
-block's activations whatever the batch size, and its gradients have the
-bits of one pass over the whole batch. `training` walks the same blocks on
-two processes.
+splits a batch evenly into blocks of two rows or more. `l1_rows` walks
+some rows of a step and hands each conv's gradient rows to its caller;
+`l1_gradients` is `l1_rows` over the whole batch, its rows added into the
+sums one at a time, in batch order, as one numpy reduction over the batch
+would (`add_rows`). So a step holds one block's activations whatever the
+batch size, and its gradients have the bits of one pass over the batch.
+Any split of a step into two runs of rows, each of two rows or more, gives
+the same bits when the second run's rows are added after the first's;
+`training` walks the two runs on two processes.
 
 Total trainable parameters: 224 + 1,168 + 4,640 + 3,480 + 10,416 + 75
 = 20,003, asserted at construction.
@@ -352,26 +354,27 @@ class EstimatorNet:
 
     def l1_gradients(self, x: np.ndarray, y: np.ndarray):
         """A batch's `forward` output and every parameter's gradient of the
-        mean L1 loss to `y`: `l1_block` over each of `step_blocks(len(x))`,
-        its conv terms added into zeros, then `head_gradients`. Only the
-        head's `dout` and GAP rows outlive their block, so a step holds one
-        block's activations whatever the batch size."""
+        mean L1 loss to `y`: `l1_rows` over the batch, its conv terms added
+        into zeros, then `head_gradients`."""
         x = self._check(x)
-        n = len(x)
-        y = np.broadcast_to(y, (n, len(self.params["fc.b"])))
+        y = np.broadcast_to(y, (len(x), len(self.params["fc.b"])))
         grads = zero_gradients()
-        parts = [self.l1_block(x[b], y[b], n, partial(add_rows, grads)) for b in step_blocks(n)]
-        return head_gradients(grads, parts)
+        return head_gradients(grads, [self.l1_rows(x, y, len(x), partial(add_rows, grads))])
 
-    def l1_block(self, x: np.ndarray, y: np.ndarray, n: int, add) -> tuple:
-        """One row block of an `n`-row training step: walk it with a cache
-        and back again with `dout = sign(out - y) / (n * 3)` at the head, pass
-        each conv's weight and bias term rows to `add(name, rows)`, and return
-        the block's (out, dout, GAP) rows."""
-        cache = []
-        out = self._walk(x, cache)
-        dout = np.sign(out - y) / (n * out.shape[1])
-        return out, dout, self._backward(cache, dout, add)
+    def l1_rows(self, x: np.ndarray, y: np.ndarray, n: int, add) -> tuple:
+        """Some rows of an `n`-row training step, in the blocks of
+        `step_blocks(len(x))`: walk each block with a cache and back again
+        with `dout = sign(out - y) / (n * 3)` at the head, pass each conv's
+        weight and bias term rows to `add(name, rows)` in row order, and
+        return the rows' (out, dout, GAP). Only these outlive their block, so
+        the walk holds one block's activations whatever the number of rows."""
+        parts = []
+        for b in step_blocks(len(x)):
+            cache = []
+            out = self._walk(x[b], cache)
+            dout = np.sign(out - y[b]) / (n * out.shape[1])
+            parts.append((out, dout, self._backward(cache, dout, add)))
+        return tuple(np.concatenate(rows) for rows in zip(*parts))
 
     def _backward(self, cache: list, dout: np.ndarray, add) -> np.ndarray:
         """Walk `_LAYERS` in reverse, popping each cache entry as it is used,
@@ -416,15 +419,15 @@ def zero_gradients() -> dict[str, np.ndarray]:
 def add_rows(grads: dict, name: str, rows: np.ndarray) -> None:
     """Add `rows` into `grads[name]` one at a time, in order. Rows added in
     batch order onto zeros have the bits of numpy's one `sum(axis=0)` over
-    the batch, so the blocks of a step may be walked anywhere as long as
-    their rows reach the sum in that order."""
+    the batch, so the rows of a step may be walked anywhere as long as they
+    reach the sum in that order."""
     acc = grads[name]
     for row in rows:
         acc += row
 
 
 def head_gradients(grads: dict, parts: list) -> tuple[np.ndarray, dict]:
-    """Finish a step from its blocks' (out, dout, GAP) rows in batch order:
+    """Finish a step from its runs' (out, dout, GAP) rows in batch order:
     set the head's terms in `grads`, whose conv sums hold every row, and
     return the batch output and `grads`."""
     out, dout, g = (np.concatenate(rows) for rows in zip(*parts))

@@ -21,7 +21,9 @@ layers s to e - 1 is their `profile.layer_costs` added in layer order onto
 the int 0 (`workload.stage_cost_table`), Python 3.11's `sum` of the slice.
 It is not a difference of prefix sums: `P[e] - P[s]` rounds differently
 from the fold, and the searches compare near-equal scores, so a last-digit
-change can change the mapping they pick.
+change can change the mapping they pick. For the same reason step 7's sum
+is `workload.left_sum`, the same fold, and not the builtin `sum`, which is
+compensated from Python 3.12 on.
 
 `validate_mapping` is the rule of every checked entry: `simulate`,
 `stages_of`, `load_mapping` and the embedding's `mapped_input`. Each search
@@ -45,7 +47,7 @@ from pathlib import Path
 
 from .errors import MappingError, SearchSpaceError
 from .workload import (
-    DeviceProfile, Workload, _check_keys, _is_int, _read_json, workload_from_names,
+    DeviceProfile, Workload, _check_keys, _is_int, _read_json, left_sum, workload_from_names,
 )
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -190,7 +192,7 @@ def _avg_throughput(workload: Workload, assignments, profile: DeviceProfile, mem
             walk = memo[key] = _model_walk(profile.stage_costs[key[0]], key[1], profile.transfer_ms)
         walks.append(walk)
     _, theta = _contention(walks, profile.num_units)
-    return sum([theta * r for r, _ in walks]) / len(walks)
+    return left_sum([theta * r for r, _ in walks]) / len(walks)
 
 
 def simulate(workload: Workload, mapping: Mapping, profile: DeviceProfile) -> ThroughputReport:
@@ -209,7 +211,7 @@ def simulate(workload: Workload, mapping: Mapping, profile: DeviceProfile) -> Th
     return ThroughputReport(
         per_dnn_inf_s=tuple(x),
         per_unit_inf_s=tuple(y),
-        avg_throughput=sum(x) / len(x),
+        avg_throughput=left_sum(x) / len(x),
         unit_utilization=tuple(theta * l for l in raw_load),
         theta=theta,
     )

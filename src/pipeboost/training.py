@@ -7,21 +7,23 @@ statistics fitted on the training split only.
 
 `train` runs each step on two processes when it can: itself and one worker
 forked per call, which reads its rows from its copy of the samples. The
-split: of a batch's `step_blocks`, this process walks the first
-`len(blocks) // 2` and adds their conv terms into zeros, as `l1_gradients`
-does, while the worker walks the rest and keeps its term rows. This process
-then sends its partial sums; the worker adds its rows onto them in batch
-order and returns them with its (out, dout, GAP) rows, and the head's terms
-are taken over the concatenated rows. Each validation pass splits its blocks
-the same way. Why the bits hold: the walk is exact row by row, the blocks are
-those of `l1_gradients`, and every sum gets the rows of the whole batch in
-batch order onto zeros, which is the sum `l1_gradients` makes; so the weights
-and the history are the same bytes with or without the worker. Only
-parameter-sized arrays cross the pipe each way: the parameters, and the
-partial and the final sums. The worker is forked only when a step has two
-blocks or more (`batch_size` > 8), the process may run on two CPUs and the
-`fork` start method exists; otherwise every block runs here, through the
-same block code.
+split is by rows: of an n-row batch, this process walks the first n // 2
+by `l1_rows` and adds their conv terms into zeros, as `l1_gradients` does,
+while the worker walks the rest and keeps its term rows. This process then
+sends its partial sums; the worker adds its rows onto them in batch order
+and returns them with its (out, dout, GAP) rows, and the head's terms are
+taken over the concatenated rows. A validation pass splits its rows the
+same way through `forward`. Why the bits hold: the walk is exact row by
+row unless a block has one row, and every sum gets the rows of the whole
+batch in batch order onto zeros, which is the sum `l1_gradients` makes; so
+the weights and the history are the same bytes with or without the worker.
+A step of fewer than 4 rows would leave one row on a side, so it runs here
+alone, and so does a validation set of fewer than 2 rows, whose first half
+would be empty. Only parameter-sized arrays cross the pipe each way: the
+parameters, and the partial and the final sums. The worker is forked only
+when a step has two blocks or more (`batch_size` > 8), the process may run
+on two CPUs and the `fork` start method exists; otherwise every step is
+`l1_gradients` and every validation pass `forward`.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def train(
 ) -> tuple[EstimatorNet, dict[str, list[float]]]:
     """Mini-batch Adam on L1 loss; shuffling is fixed per (seed, epoch).
 
-    Each batch and validation block is stacked from `samples` by index, and
+    Each batch and validation set is stacked from `samples` by index, and
     a step may run on two processes (see the module docstring)."""
     if config.train_size + config.val_size != len(samples):
         raise ValueError(
@@ -254,69 +256,54 @@ def _inputs(samples: list[Sample], rows: np.ndarray) -> np.ndarray:
     return np.stack([samples[i].input for i in rows])
 
 
-def _walk_blocks(net, samples, targets, idx, blocks, add) -> list:
-    return [
-        net.l1_block(_inputs(samples, idx[b]), targets[idx[b]], len(idx), add)
-        for b in blocks
-    ]
-
-
-def _forward_blocks(net, samples, rows, blocks) -> list:
-    return [net.forward(_inputs(samples, rows[b])) for b in blocks]
-
-
 def _step(net, samples, targets, idx, worker) -> tuple[np.ndarray, dict]:
-    """One step's output rows and gradients: every block here without a
-    worker, the first half of them here and the rest in the worker with one."""
-    blocks = step_blocks(len(idx))
-    half = len(blocks) // 2 if worker else len(blocks)
-    if worker:
-        worker.send(("step", net.params, idx))
+    """One step's output rows and gradients: `l1_gradients` here, or with a
+    worker and 4 rows or more, the first half of the rows here and the rest
+    in the worker."""
+    n = len(idx)
+    if not worker or n < 4:
+        return net.l1_gradients(_inputs(samples, idx), targets[idx])
+    here = idx[: n // 2]
+    worker.send(("step", net.params, idx[n // 2 :], n))
     grads = zero_gradients()
-    parts = _walk_blocks(net, samples, targets, idx, blocks[:half], partial(add_rows, grads))
-    if worker:
-        worker.send(grads)
-        rest, grads = worker.recv()
-        parts += rest
-    return head_gradients(grads, parts)
+    part = net.l1_rows(_inputs(samples, here), targets[here], n, partial(add_rows, grads))
+    worker.send(grads)
+    rest, grads = worker.recv()
+    return head_gradients(grads, [part, rest])
 
 
 def _validate(net, samples, rows, worker) -> np.ndarray:
-    blocks = step_blocks(len(rows))
-    half = len(blocks) // 2 if worker else len(blocks)
-    if worker:
-        worker.send(("forward", net.params, rows))
-    outs = _forward_blocks(net, samples, rows, blocks[:half])
-    if worker:
-        outs += worker.recv()
-    return np.concatenate(outs)
+    n = len(rows)
+    if not worker or n < 2:
+        return net.forward(_inputs(samples, rows))
+    worker.send(("forward", net.params, rows[n // 2 :], n))
+    out = net.forward(_inputs(samples, rows[: n // 2]))
+    return np.concatenate([out, worker.recv()])
 
 
 def _serve(conn, parent_end, net, samples, targets) -> None:
-    """The worker's loop: for each request, walk the second half of its
-    blocks with the parameters it carries. It returns when the parent's end
-    of the pipe closes. An error is sent to the parent as its message, and
-    then every request is read and dropped until that end closes."""
+    """The worker's loop: for each request, walk its rows with the
+    parameters it carries. It returns when the parent's end of the pipe
+    closes. An error is sent to the parent as its message, and then every
+    request is read and dropped until that end closes."""
     parent_end.close()  # else the pipe would stay open if the parent died
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles ^C
     try:
         while True:
-            kind, net.params, rows = conn.recv()
+            kind, net.params, rows, n = conn.recv()
             try:
-                blocks = step_blocks(len(rows))
-                blocks = blocks[len(blocks) // 2 :]
+                x = _inputs(samples, rows)
                 if kind == "forward":
-                    reply = _forward_blocks(net, samples, rows, blocks)
+                    reply = net.forward(x)
                 else:
                     kept = []
-                    parts = _walk_blocks(
-                        net, samples, targets, rows, blocks,
-                        lambda name, terms: kept.append((name, terms)),
+                    part = net.l1_rows(
+                        x, targets[rows], n, lambda name, terms: kept.append((name, terms))
                     )
                     grads = conn.recv()
                     for name, terms in kept:
                         add_rows(grads, name, terms)
-                    reply = parts, grads
+                    reply = part, grads
             except Exception as exc:
                 conn.send(f"{type(exc).__name__}: {exc}")
                 while True:

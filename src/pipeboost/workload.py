@@ -15,8 +15,9 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
+from operator import add
 from pathlib import Path
 
 from .errors import MappingError, ProfileError
@@ -195,6 +196,13 @@ def workload_from_names(profile: DeviceProfile, names: list[str]) -> Workload:
     return Workload(tuple(profile.model_index(n) for n in names))
 
 
+def left_sum(xs):
+    """`((0 + xs[0]) + xs[1]) + ...`, the left fold from the int 0: Python
+    3.11's `sum` bit for bit. 3.12's `sum` is compensated and rounds floats
+    otherwise, so every float sum whose bits reach an output is this fold."""
+    return reduce(add, xs, 0)
+
+
 def stage_cost_table(rows) -> tuple:
     """table[u][s][e], of one model's layer costs `rows[u][l]`: for s < e the
     cost of layers s to e - 1, the left fold from the int 0,
@@ -314,7 +322,7 @@ def generate_profile(
             ]
             n_kernels = rng.randint(*cfg.kernels_range)
             shares = [rng.uniform(0.2, 1.0) for _ in range(n_kernels)]
-            total_share = sum(shares)
+            total_share = left_sum(shares)
             kernels = tuple(
                 KernelProfile(
                     name=f"l{li:02d}k{ki}",

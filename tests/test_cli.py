@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import pipeboost
-from pipeboost.cli import main
+from pipeboost.cli import build_parser, main
+from pipeboost.mcts import MctsConfig
 
 
 def run(capsys, *argv):
@@ -33,6 +34,19 @@ def test_count_assignment_space(capsys):
     )
     assert code == 0
     assert out.strip() == "9"
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--profile", "p.json", "--mix", "net00", "--out", "m.json"],
+    ["compare", "--profile", "p.json"],
+])
+def test_search_flags_default_to_the_mcts_config(argv):
+    args = build_parser().parse_args(argv)
+    want = MctsConfig()
+    assert (args.budget, args.depth, args.stage_limit, args.seed) == (
+        want.budget, want.max_depth, want.stage_limit, want.seed
+    )
+    assert (args.weights, args.evaluator) == (None, "estimator")
 
 
 def test_unknown_method_exits_2(tmp_path, capsys):

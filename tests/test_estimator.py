@@ -3,10 +3,11 @@
 import math
 import struct
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipeboost.estimator import (
@@ -19,11 +20,14 @@ from pipeboost.estimator import (
     _im2col,
     _pool_backward,
     _pool_forward,
+    add_rows,
     gelu,
     gelu_grad,
+    head_gradients,
     load_weights,
     save_weights,
     step_blocks,
+    zero_gradients,
 )
 from pipeboost.errors import WeightsError
 from pipeboost.training import gradient_check
@@ -238,6 +242,46 @@ def test_l1_gradients_equal_one_block(batch):
         assert same_bytes(out, want_out)
         for name, want in want_grads.items():
             assert same_bytes(grads[name], want), name
+
+
+def split_step(net, x, y, h):
+    """A step's `l1_rows` as two runs of rows, its first h and the rest, with
+    the second run's term rows added after the first's."""
+    grads = zero_gradients()
+    add = partial(add_rows, grads)
+    parts = [net.l1_rows(x[:h], y[:h], len(x), add), net.l1_rows(x[h:], y[h:], len(x), add)]
+    return head_gradients(grads, parts)
+
+
+def same_step(a, b):
+    (out_a, grads_a), (out_b, grads_b) = a, b
+    return same_bytes(out_a, out_b) and all(same_bytes(grads_a[k], grads_b[k]) for k in grads_b)
+
+
+@settings(deadline=None)
+@given(st.integers(4, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 2))),
+       st.integers(0, 2**32 - 1))
+def test_a_step_split_in_two_runs_keeps_its_bytes(n_h, seed):
+    # any split with two rows or more on each side gives `l1_gradients`'
+    # output and gradient bytes, which `train`'s worker relies on
+    n, h = n_h
+    net = EstimatorNet.new(SHAPE, seed=seed % 7)
+    rng = np.random.default_rng(seed)
+    random_biases(net, rng)
+    x, y = rng.random((n,) + SHAPE), rng.random((n, 3))
+    assert same_step(split_step(net, x, y, h), net.l1_gradients(x, y))
+
+
+def test_a_step_split_with_one_row_on_a_side_differs():
+    # the backward head `dout @ fc.w` rounds a one-row run differently, so
+    # `train` never splits off a single row
+    net = EstimatorNet.new(SHAPE, seed=0)
+    rng = np.random.default_rng(0)
+    random_biases(net, rng)
+    x, y = rng.random((5,) + SHAPE), rng.random((5, 3))
+    whole = net.l1_gradients(x, y)
+    assert not same_step(split_step(net, x, y, 1), whole)
+    assert not same_step(split_step(net, x, y, 4), whole)
 
 
 def conv_term_shapes(shape):

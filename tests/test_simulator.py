@@ -5,6 +5,7 @@ The fuzz oracle below re-derives the throughput model from scratch
 implementation cannot hide in a shared helper.
 """
 
+import builtins
 import itertools
 import json
 import math
@@ -35,7 +36,7 @@ from pipeboost.simulator import (
     stages_of,
     validate_mapping,
 )
-from pipeboost.workload import Workload, layer_cost
+from pipeboost.workload import Workload, generate_profile, layer_cost, profile_to_dict
 
 
 # ---------------------------------------------------------------- oracle
@@ -601,3 +602,37 @@ def test_load_mapping_rejects_unknown_keys(tiny_profile, tmp_path):
     path.write_text(json.dumps({"workload": ["mA"], "assignments": [[0, 0, 0]], "x": 1}))
     with pytest.raises(MappingError):
         load_mapping(path, tiny_profile)
+
+
+def compensated_sum(xs, start=0):
+    """`sum` with its floats added exactly, by `math.fsum`: a stand-in for
+    the compensated float `sum` of Python 3.12 and later. Ints are added as
+    `sum` adds them."""
+    xs = list(xs)
+    if any(isinstance(v, float) for v in xs):
+        return math.fsum([start, *xs])
+    return builtins.sum(xs, start)
+
+
+def test_seeded_outputs_do_not_depend_on_how_sum_rounds(monkeypatch):
+    # the profile generator's kernel shares and the model's average T are
+    # left folds, the bits of Python 3.11's `sum` on every Python, so a
+    # `sum` that rounds otherwise changes no profile, report or score
+    def outputs():
+        profiles = [generate_profile(11, seed) for seed in range(60)]
+        rng = random.Random(0)
+        scores = []
+        for profile in profiles[:4]:
+            for _ in range(300):
+                mix = Workload(tuple(rng.sample(range(11), rng.randint(1, 5))))
+                mapping = random_mapping_rng(mix, profile, profile.num_units, rng)
+                scores.append((
+                    simulate(mix, mapping, profile),
+                    _avg_throughput(mix, mapping.assignments, profile, {}),
+                ))
+        return [json.dumps(profile_to_dict(p), sort_keys=True) for p in profiles], scores
+
+    want = outputs()
+    for module in ("pipeboost.workload", "pipeboost.simulator"):
+        monkeypatch.setattr(f"{module}.sum", compensated_sum, raising=False)
+    assert outputs() == want

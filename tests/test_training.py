@@ -175,15 +175,25 @@ def trained_bytes(profile, samples, stats, cfg, tmp_path, tag):
     return (tmp_path / f"{tag}.bin").read_bytes(), (tmp_path / f"{tag}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("batch, train_size", [(32, 68), (17, 56), (8, 20)])
-def test_the_worker_keeps_every_byte(gen_profile, tmp_path, monkeypatch, batch, train_size):
-    # with and without the forked worker: batch 32 splits 2 + 2 blocks, batch
-    # 17 (three blocks) 1 + 2, and the last batch of 4 or 5 rows is one block,
-    # which the worker walks alone; the 21 validation rows split 1 + 2 blocks.
-    # A batch of 8 rows is one block, so it forks no worker
-    samples = generate_dataset(gen_profile, count=train_size + 21, seed=6)
+@pytest.mark.parametrize("batch, train_size, val_size", [
+    pytest.param(32, 68, 21, id="32-68"),
+    pytest.param(17, 56, 21, id="17-56"),
+    pytest.param(8, 20, 21, id="8-20"),
+    (16, 33, 1), (16, 34, 2), (16, 35, 3),
+])
+def test_the_worker_keeps_every_byte(
+    gen_profile, tmp_path, monkeypatch, batch, train_size, val_size
+):
+    # with and without the forked worker: a batch splits its rows at n // 2,
+    # 16 + 16, 8 + 9 and 8 + 8, and the last batches of 4 or 5 rows 2 + 2 and
+    # 2 + 3; a last batch of 1, 2 or 3 rows runs here alone, and so does a
+    # single validation row, while 2, 3 and 21 rows split 1 + 1, 1 + 2 and
+    # 10 + 11. A batch of 8 rows is one block, so it forks no worker
+    samples = generate_dataset(gen_profile, count=train_size + val_size, seed=6)
     stats, samples = preprocess_targets(samples, train_size)
-    cfg = TrainConfig(epochs=3, batch_size=batch, seed=2, train_size=train_size, val_size=21)
+    cfg = TrainConfig(
+        epochs=3, batch_size=batch, seed=2, train_size=train_size, val_size=val_size
+    )
     forks = []
     start = training._Worker.__init__
 
@@ -203,18 +213,18 @@ def test_the_worker_keeps_every_byte(gen_profile, tmp_path, monkeypatch, batch, 
 
 
 def fail_in_the_worker(monkeypatch, how):
-    """Make `l1_block` fail in any process but this one: raise, or exit."""
+    """Make `l1_rows` fail in any process but this one: raise, or exit."""
     parent = os.getpid()
-    block = EstimatorNet.l1_block
+    rows = EstimatorNet.l1_rows
 
     def failing(self, *args):
         if os.getpid() != parent:
             if how == "exit":
                 os._exit(3)
             raise RuntimeError("injected")
-        return block(self, *args)
+        return rows(self, *args)
 
-    monkeypatch.setattr(EstimatorNet, "l1_block", failing)
+    monkeypatch.setattr(EstimatorNet, "l1_rows", failing)
     monkeypatch.setattr(training, "_two_cpus", lambda: True)
 
 
@@ -262,7 +272,7 @@ def test_the_worker_returns_when_the_parent_end_closes(gen_profile, mid_step):
     worker = training._Worker(net, samples, targets)
     try:
         if mid_step:
-            worker.send(("step", net.params, np.arange(16)))
+            worker.send(("step", net.params, np.arange(8, 16), 16))
         worker.conn.close()
         worker.process.join(timeout=60)
         assert not worker.process.is_alive()
