@@ -12,12 +12,13 @@ untried units and statistics. Each iteration replays its path from the root
 onto one flat list of the mix's layer units, counting the current model's
 stages, and `rollout` continues that list. The complete list is cut once
 into per-model tuples, the shape of `Mapping.assignments` that the
-evaluators score, and its reward is 1 + the evaluator's unchecked
-`score_ids`, a score in [0, 1]. The tree and the rollout read legal units
-from one table, `legal_units`. `SearchState`, `initial_state`, `actions`
-and `apply` are the same rules one move at a time, the reference the tests
-hold the flat path to; no workflow calls them, and they stay in the
-package because `bench/test_bench_helpers.py` pins `mcts.apply`.
+evaluators score, and its reward is 1 + the evaluator's unchecked score
+in [0, 1], from `score_ids` or a row of `score_rows`. The tree and the
+rollout read legal units from one table, `legal_units`. `SearchState`,
+`initial_state`, `actions` and `apply` are the same rules one move at a
+time, the reference the tests hold the flat path to; no workflow calls
+them, and they stay in the package because `bench/test_bench_helpers.py`
+pins `mcts.apply`.
 
 The rollout's moves are the search's only random draws. A free move runs
 the loop of `simulator.randbelow`, the one behind `Random.choice`, with its
@@ -28,10 +29,33 @@ takes the tail's draws of `getrandbits(1)` in exact blocks of 32-bit words
 with the same rng state; its docstring says why every word is consumed.
 `tests/test_simulator.py` pins the draw against `randrange` and `choice`,
 and the block against single draws.
+
+An evaluator whose class sets `scores_pairs`, the estimator's, has its
+iterations scored two a `score_rows` call, because its net costs less per
+row at batch 2 than at batch 1; the search stays exactly the sequential
+one. After iteration i's rollout, the root's mean reward is backed up
+along i's path as a guess, the old statistics logged, and iteration i+1 is
+selected, expanded and rolled out, the rng state saved before it. The tree
+is then put back: the logged floats are written back, not subtracted, and
+i+1's expansion is popped. One `score_rows` call scores both mappings, i's
+true reward is backed up, and a fresh UCT descent decides i+1. If it gives
+the same node list, i+1 is kept: its expansion is pushed again and its
+reward backed up. If not, the rng goes back to the saved state and i+1 is
+redone as the next iteration. Each step is exact. `score_rows` gives each
+row `score_ids`' float. The restored tree holds the floats and children it
+held before the guess. The same node list means the same expansion and
+the same replayed units, and the same rng state the same rollout. So a
+kept i+1 is the iteration the sequential search runs, and a missed one
+costs a scored row and a redo; the last iteration of a budget is scored
+alone. The stats count the mappings scored, `scored`, beside the
+`iterations`. The simulator, and any evaluator without the attribute, has
+one `score_ids` call an iteration in a loop of its own: its calls cost
+little enough that a function call an iteration would show.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -230,22 +254,48 @@ def _select_child(node: _Node) -> _Node:
     return best
 
 
-def schedule(
-    workload: Workload, profile: DeviceProfile, evaluator, config: MctsConfig | None = None
-) -> tuple[Mapping, dict]:
-    """Run the budgeted search and return the best complete mapping found."""
-    config = config or MctsConfig()
-    workload.validate_for(profile)
-    counts = [profile.models[i].num_layers for i in workload.model_indices]
-    ends = list(itertools.accumulate(counts))
-    spans = list(zip([0] + ends, ends))
-    starts = {s for s, _ in spans}
-    legal = legal_units(profile.num_units, config.stage_limit, max(counts))
-    rng = random.Random(config.seed)
-    root = _Node(None, list(legal[0, None][0]))
-    score_ids, best_reward, best = evaluator.score_ids, -math.inf, None
-    t0 = time.perf_counter()
+def _descend(root: _Node) -> list[_Node]:
+    """UCT's path from the root to the first node with untried units or no
+    children: the nodes an iteration selects."""
+    node, path = root, [root]
+    while node.children and not node.untried:
+        node = _select_child(node)
+        path.append(node)
+    return path
 
+
+def _iterate(
+    root: _Node, legal: dict, spans, starts, rng: random.Random, config: MctsConfig
+) -> tuple[list[_Node], tuple]:
+    """Select, expand and roll out one iteration, as `_search` does inline:
+    its path from the root and its complete mapping, unscored."""
+    path = _descend(root)
+    node = path[-1]
+    if node.untried:
+        node.children.append(_Node(node.untried.pop(0), []))
+        path.append(node.children[-1])
+    units, key = [], (0, None)  # key: (stages used, previous unit) of the next layer
+    for n in path[1:]:
+        units.append(n.unit)
+        used = key[0] + (n.unit != key[1])
+        key = (0, None) if len(units) in starts else (used, n.unit)
+    if node is not path[-1] and len(units) < spans[-1][1]:  # a new node's untried units
+        path[-1].untried = list(legal[key][0])
+    rollout(units, key[0], spans, legal, rng, config)
+    return path, tuple([tuple(units[s:e]) for s, e in spans])
+
+
+def _backup(path: list[_Node], reward: float) -> None:
+    for n in path:
+        n.visits += 1
+        n.value += reward
+
+
+def _search(workload: Workload, evaluator, config: MctsConfig, root, legal, spans, starts, rng):
+    """One `score_ids` call an iteration: the best reward, its mapping and the
+    number of mappings scored. The iteration is written out, not `_iterate`:
+    a call an iteration costs the simulator's search about 2%."""
+    score_ids, best_reward, best, end = evaluator.score_ids, -math.inf, None, spans[-1][1]
     for _ in range(config.budget):
         node, path = root, [root]
         while node.children and not node.untried:
@@ -259,7 +309,7 @@ def schedule(
             units.append(n.unit)
             used = key[0] + (n.unit != key[1])
             key = (0, None) if len(units) in starts else (used, n.unit)
-        if node is not path[-1] and len(units) < ends[-1]:  # a new node's untried units
+        if node is not path[-1] and len(units) < end:  # a new node's untried units
             path[-1].untried = list(legal[key][0])
         rollout(units, key[0], spans, legal, rng, config)
         assignments = tuple([tuple(units[s:e]) for s, e in spans])
@@ -269,8 +319,83 @@ def schedule(
         for n in path:
             n.visits += 1
             n.value += reward
+    return best_reward, best, config.budget
 
+
+def _speculate(root: _Node, path: list[_Node], rng: random.Random, iterate):
+    """The iteration after `path`'s, run as if `path` had scored the root's
+    mean reward, then taken back so that the tree is exactly as it was:
+    returns its path, its mapping, whether it expanded a node, and the rng
+    state it started from (selection and expansion draw nothing)."""
+    saved = [(n.visits, n.value) for n in path]
+    _backup(path, root.value / root.visits if root.visits else 1.5)  # 1.5 on a fresh root
+    state = rng.getstate()
+    ahead, assignments = iterate()
+    expanded = not ahead[-1].visits  # every node in the tree has a visit
+    if expanded:
+        parent = ahead[-2]
+        parent.untried.insert(0, parent.children.pop().unit)
+    for n, (visits, value) in zip(path, saved):
+        n.visits, n.value = visits, value
+    return ahead, assignments, expanded, state
+
+
+def _search_in_pairs(
+    workload: Workload, evaluator, config: MctsConfig, root, legal, spans, starts, rng
+):
+    """`_search` with two iterations a `score_rows` call, by the rule of the
+    module docstring: the same iterations, rewards and tree."""
+    iterate = functools.partial(_iterate, root, legal, spans, starts, rng, config)
+    budget, best_reward, best, done, scored = config.budget, -math.inf, None, 0, 0
+
+    def take(path, assignments, reward):
+        nonlocal best_reward, best, done
+        if reward > best_reward:
+            best_reward, best = reward, assignments
+        _backup(path, reward)
+        done += 1
+
+    while done < budget:
+        path, assignments = iterate()
+        if done + 1 == budget:  # the last iteration is scored alone
+            (reward,) = evaluator.score_rows(workload, [assignments]).tolist()
+            scored += 1
+            take(path, assignments, 1.0 + reward)
+            break
+        ahead, ahead_assignments, expanded, state = _speculate(root, path, rng, iterate)
+        rewards = evaluator.score_rows(workload, [assignments, ahead_assignments]).tolist()
+        scored += 2
+        take(path, assignments, 1.0 + rewards[0])
+        if _descend(root) == (ahead[:-1] if expanded else ahead):  # the guess held
+            if expanded:
+                ahead[-2].untried.pop(0)
+                ahead[-2].children.append(ahead[-1])
+            take(ahead, ahead_assignments, 1.0 + rewards[1])
+        else:  # the next iteration redoes it from the same draws
+            rng.setstate(state)
+    return best_reward, best, scored
+
+
+def schedule(
+    workload: Workload, profile: DeviceProfile, evaluator, config: MctsConfig | None = None
+) -> tuple[Mapping, dict]:
+    """Run the budgeted search and return the best complete mapping found."""
+    config = config or MctsConfig()
+    workload.validate_for(profile)
+    counts = [profile.models[i].num_layers for i in workload.model_indices]
+    ends = list(itertools.accumulate(counts))
+    spans = list(zip([0] + ends, ends))
+    starts = {s for s, _ in spans}
+    legal = legal_units(profile.num_units, config.stage_limit, max(counts))
+    rng = random.Random(config.seed)
+    root = _Node(None, list(legal[0, None][0]))
+    search = _search_in_pairs if getattr(evaluator, "scores_pairs", False) else _search
+    t0 = time.perf_counter()
+    best_reward, best, scored = search(workload, evaluator, config, root, legal, spans, starts, rng)
     ms = (time.perf_counter() - t0) * 1000.0
     best_mapping = Mapping(best)
     validate_mapping(best_mapping, profile, workload, config.stage_limit)
-    return best_mapping, {"iterations": config.budget, "best_reward": best_reward, "elapsed_ms": ms}
+    return best_mapping, {
+        "iterations": config.budget, "scored": scored, "best_reward": best_reward,
+        "elapsed_ms": ms,
+    }

@@ -152,6 +152,7 @@ def test_schedule_and_simulate_flow(cli_workspace, capsys):
     assert code == 0
     stats = json.loads(out)
     assert stats["iterations"] == 120
+    assert stats["scored"] >= stats["iterations"]  # guesses that missed are scored too
 
     mapping = json.loads(out_map.read_text())
     assert mapping["workload"] == ["net00", "net03"]
@@ -166,12 +167,14 @@ def test_schedule_and_simulate_flow(cli_workspace, capsys):
 def test_schedule_simulator_evaluator_needs_no_weights(cli_workspace, capsys):
     prof = cli_workspace / "profile.json"
     out_map = cli_workspace / "map2.json"
-    code, _, _ = run(
+    code, out, _ = run(
         capsys, "schedule", "--profile", str(prof), "--mix", "net01,net02",
         "--evaluator", "simulator", "--budget", "100", "--seed", "1",
         "--out", str(out_map),
     )
     assert code == 0
+    stats = json.loads(out)
+    assert stats["scored"] == stats["iterations"] == 100  # one mapping a call
 
 
 def test_schedule_estimator_without_weights_errors(cli_workspace, capsys):

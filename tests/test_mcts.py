@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from pipeboost.baselines import (
 )
 from pipeboost.errors import MappingError
 from pipeboost.estimator import EstimatorNet, TargetStats
+from pipeboost import mcts
 from pipeboost.evaluators import EstimatorEvaluator, SimulatorEvaluator
 from pipeboost.mcts import (
     UCT_C,
@@ -216,7 +218,7 @@ def schedule_by_states(workload, profile, evaluator, config):
             node.visits += 1
             node.value += reward
             node = node.parent
-    return best_mapping, {"iterations": config.budget, "best_reward": best_reward}
+    return best_mapping, {"iterations": config.budget, "best_reward": best_reward, "root": root}
 
 
 class ConstantEvaluator:
@@ -240,16 +242,20 @@ class Recorder:
         return self.inner.score_ids(workload, assignments)
 
 
+def _random_net_evaluator(profile):
+    # a small random net whose head bias keeps its outputs off the clip bounds
+    net = EstimatorNet.new((profile.num_units, len(profile.models), profile.max_layers), seed=1)
+    net.params["fc.b"][:] = 0.5
+    net.target_stats = TargetStats.from_floats([0.0] * 12)
+    return EstimatorEvaluator(net, profile)
+
+
 def _evaluator(kind, profile):
     if kind == "simulator":
         return Recorder(SimulatorEvaluator(profile))
     if kind == "constant":
         return Recorder(ConstantEvaluator())
-    # a small random net whose head bias keeps its outputs off the clip bounds
-    net = EstimatorNet.new((profile.num_units, len(profile.models), profile.max_layers), seed=1)
-    net.params["fc.b"][:] = 0.5
-    net.target_stats = TargetStats.from_floats([0.0] * 12)
-    return Recorder(EstimatorEvaluator(net, profile))
+    return Recorder(_random_net_evaluator(profile))
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,6 +280,106 @@ def test_schedule_equals_state_by_state_reference(
     assert got_mapping == want_mapping
     assert (got["best_reward"], got["iterations"]) == (want["best_reward"], want["iterations"])
     assert got_ev.scored == want_ev.scored  # the same rollout on every iteration
+
+
+class PairRecorder:
+    """A pair-scoring evaluator that keeps the rows of every `score_rows` call."""
+
+    scores_pairs = True
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def score_rows(self, workload, rows):
+        self.calls.append(list(rows))
+        return self.inner.score_rows(workload, rows)
+
+
+def consumed_trace(calls, want):
+    """The mappings a paired search consumed, in order: the first row of each
+    call, and the second when it is the reference's next mapping. That reads
+    a correct search right: a kept row is the next mapping, and a dropped one
+    is not, because its redo follows another tree path, so it differs from
+    the dropped row on the layer where the paths part, and the redo is the
+    next mapping."""
+    trace = []
+    for rows in calls:
+        trace.append(rows[0])
+        if len(rows) == 2 and len(trace) < len(want) and rows[1] == want[len(trace)]:
+            trace.append(rows[1])
+    return trace
+
+
+def assert_same_tree(node, ref):
+    """The same children, untried units and statistics, float for float."""
+    assert (node.visits, node.value, node.untried) == (ref.visits, ref.value, ref.untried)
+    assert len(node.children) == len(ref.children)
+    for child, ref_child in zip(node.children, ref.children):
+        assert_same_tree(child, ref_child)
+
+
+def check_paired_schedule(wl, profile, cfg, kind):
+    """Run a paired search and the state-by-state reference on the `kind`
+    evaluator, and return the paired search's stats."""
+    want_ev = _evaluator(kind, profile)
+    got_ev = PairRecorder(want_ev.inner)
+    with mock.patch.object(mcts, "_search_in_pairs", wraps=mcts._search_in_pairs) as search:
+        got_mapping, got = schedule(wl, profile, got_ev, cfg)
+    want_mapping, want = schedule_by_states(wl, profile, want_ev, cfg)
+    assert_same_tree(search.call_args.args[3], want["root"])  # guesses leave no trace
+    assert got_mapping == want_mapping
+    assert (got["best_reward"], got["iterations"]) == (want["best_reward"], want["iterations"])
+    assert consumed_trace(got_ev.calls, want_ev.scored) == want_ev.scored
+    assert all(len(rows) in (1, 2) for rows in got_ev.calls)
+    assert got["scored"] == sum(map(len, got_ev.calls))
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.lists(st.integers(0, 5), min_size=1, max_size=5, unique=True),
+    st.integers(1, 300),
+    st.integers(1, 100),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["estimator", "simulator"]),
+)
+def test_paired_schedule_equals_state_by_state_reference(
+    profile_seed, mix, budget, max_depth, stage_limit, seed, kind
+):
+    # a search that scores pairs consumes exactly the sequential search's
+    # mappings: the same mapping, best reward and trace. Both evaluators'
+    # batches are row-exact; the simulator's rewards spread wider, so more
+    # guesses miss
+    profile = generate_profile(6, seed=profile_seed)
+    cfg = MctsConfig(budget=budget, max_depth=max_depth, stage_limit=stage_limit, seed=seed)
+    check_paired_schedule(Workload(tuple(mix)), profile, cfg, kind)
+
+
+@pytest.mark.parametrize("kind", ["estimator", "simulator"])
+def test_paired_schedule_redoes_missed_guesses_and_matches(kind):
+    # each scored row beyond the budget is a guess that missed and was redone
+    profile = generate_profile(6, seed=1)
+    stats = check_paired_schedule(Workload((0,)), profile, MctsConfig(budget=200, seed=5), kind)
+    assert stats["scored"] - stats["iterations"] >= 1
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_searches_without_pairs_score_one_mapping_a_call(gen_profile, monkeypatch, wrap):
+    # the simulator, and stubs with only `score_ids`, keep the one-row loop
+    calls = {"score_ids": 0, "score_rows": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(SimulatorEvaluator, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SimulatorEvaluator, name, counted)
+    ev = SimulatorEvaluator(gen_profile)
+    ev = Recorder(ev) if wrap else ev
+    _, stats = schedule(Workload((0, 3)), gen_profile, ev, MctsConfig(budget=150, seed=2))
+    assert calls == {"score_ids": 150, "score_rows": 0}
+    assert stats["scored"] == stats["iterations"] == 150
 
 
 @pytest.mark.parametrize(
